@@ -194,6 +194,15 @@ def _default_threads() -> int:
         return 1
 
 
+def _threads(args: argparse.Namespace) -> int:
+    """``--threads`` when given, which must be positive, else the default."""
+    if args.threads is None:
+        return _default_threads()
+    if args.threads < 1:
+        raise _UsageError(f"--threads must be positive, got {args.threads}")
+    return args.threads
+
+
 def _load_table(path: str | None) -> bnd.CoefficientTable:
     if path is None:
         return bnd.default_table()
@@ -252,7 +261,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         constraint = Quasiplanar(args.quasi)
         kind, param = "h", args.quasi
         label = f"h={args.quasi}"
-    threads = args.threads if args.threads else _default_threads()
+    threads = _threads(args)
     result = max_density(args.n, constraint, threads=threads)
     note = _formula_note(kind, param, args.n, result.best_m)
     print(f"n={args.n} {constraint.label}: best_m={result.best_m} ({note})")
@@ -364,7 +373,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    threads = args.threads if args.threads else _default_threads()
+    threads = _threads(args)
     rows = rep.run_all(threads=threads)
     csv_text = rep.rows_to_csv(rows)
     sys.stdout.write(csv_text)

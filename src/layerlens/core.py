@@ -296,6 +296,11 @@ def drawing_to_json(d: Drawing) -> dict:
     return {"p": d.p, "q": d.q, "edges": [list(e) for e in d.sorted_edges()]}
 
 
+def _is_int(value: object) -> bool:
+    """JSON integers only: true and false parse as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def drawing_from_json(data: dict) -> Drawing:
     """Parse the dict form; raises ValueError on malformed input."""
     if not isinstance(data, dict):
@@ -304,7 +309,7 @@ def drawing_from_json(data: dict) -> Drawing:
         if key not in data:
             raise ValueError(f"drawing JSON is missing {key!r}")
     p, q, edges = data["p"], data["q"], data["edges"]
-    if not isinstance(p, int) or not isinstance(q, int):
+    if not _is_int(p) or not _is_int(q):
         raise ValueError("p and q must be integers")
     if not isinstance(edges, list):
         raise ValueError("edges must be a list of [i, x] pairs")
@@ -313,7 +318,7 @@ def drawing_from_json(data: dict) -> Drawing:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise ValueError(f"edge {e!r} is not an [i, x] pair")
         i, x = e
-        if not isinstance(i, int) or not isinstance(x, int):
+        if not _is_int(i) or not _is_int(x):
             raise ValueError(f"edge {e!r} has non-integer endpoints")
         parsed.append((i, x))
     if len(set(parsed)) != len(parsed):

@@ -1,20 +1,23 @@
 """Reference implementations used to cross-check the fast paths.
 
 Deliberately naive: a quadratic pair loop for the crossing profile, an
-exponential clique search for the mutually crossing number, and a direct
-caterpillar-forest test.  They share nothing with the optimized code
-beyond the drawing type itself, so the two routes stay independent.
+exponential clique search for the mutually crossing number, a direct
+caterpillar-forest test, and path-decomposition bags straight from the
+definition of related vertices.  They share nothing with the optimized code
+beyond the drawing type and the one-line crossing predicate, so the two
+routes stay independent.
 """
 
 from __future__ import annotations
 
-from .core import CrossingProfile, Drawing
+from .core import CrossingProfile, Drawing, edges_cross
 from .search import BipartiteGraph
 
 __all__ = [
     "brute_force_profile",
     "brute_force_mutually_crossing",
     "is_caterpillar_forest",
+    "brute_force_bags",
 ]
 
 
@@ -103,3 +106,26 @@ def is_caterpillar_forest(g: BipartiteGraph) -> bool:
             if sum(1 for w in nbrs[v] if len(nbrs[w]) >= 2) > 2:
                 return False
     return True
+
+
+def brute_force_bags(d: Drawing) -> list[frozenset[tuple[str, int]]]:
+    """One bag per edge in lexicographic order, by definition: the edge's
+    endpoints plus every bottom vertex v_y that is incident to an edge
+    crossing it and whose first and last positions in the order strictly
+    enclose the edge's position.  Quadratic in the edge count."""
+    order = sorted(d.edges)
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for pos, (_, x) in enumerate(order, 1):
+        if x not in first:
+            first[x] = pos
+        last[x] = pos
+    bags = []
+    for pos, e in enumerate(order, 1):
+        bag = {("u", e[0]), ("v", e[1])}
+        for f in order:
+            y = f[1]
+            if edges_cross(e, f) and first[y] < pos < last[y]:
+                bag.add(("v", y))
+        bags.append(frozenset(bag))
+    return bags

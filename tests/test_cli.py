@@ -62,6 +62,23 @@ class TestAnalyze:
         assert main(["analyze", str(bad)]) == 2
         assert "(9, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"p": true, "q": 2, "edges": [[1, 1]]}',
+            '{"p": 2, "q": true, "edges": [[1, 1]]}',
+            '{"p": 2, "q": 2, "edges": [[true, 1]]}',
+            '{"p": 2, "q": 2, "edges": [[1, false]]}',
+        ],
+    )
+    def test_json_booleans_are_data_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["analyze", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "integer" in captured.err
+
     def test_empty_drawing_all_zero(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text('{"p": 1, "q": 1, "edges": []}')
@@ -211,3 +228,12 @@ class TestExport:
 def test_json_round_trip_property():
     for d in (opt2planar(3), special_s(), Drawing(1, 1, frozenset())):
         assert drawing_from_json(json.loads(json.dumps(drawing_to_json(d)))) == d
+
+
+@pytest.mark.parametrize("command", [["search", "--n", "6", "--k", "2"], ["reproduce"]])
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_nonpositive_threads_is_usage_error(capsys, command, threads):
+    assert main(command + ["--threads", threads]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--threads must be positive" in captured.err

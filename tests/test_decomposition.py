@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from layerlens.core import Drawing, crossing_profile
 from layerlens.decomposition import (
@@ -16,11 +18,43 @@ from layerlens.decomposition import (
     validate_decomposition,
 )
 from layerlens.families import opt2planar, planar4_family, special_s
+from layerlens.oracles import brute_force_bags
 from layerlens.search import random_drawing
 
 
 def complete_grid(p, q):
     return Drawing(p, q, frozenset((i, x) for i in range(1, p + 1) for x in range(1, q + 1)))
+
+
+def bag(*labels):
+    """Bag from labels such as "u1" and "v12"."""
+    return frozenset((label[0], int(label[1:])) for label in labels)
+
+
+@st.composite
+def drawings(draw):
+    p = draw(st.integers(1, 8))
+    q = draw(st.integers(1, 8))
+    cells = [(i, x) for i in range(1, p + 1) for x in range(1, q + 1)]
+    return Drawing(p, q, frozenset(draw(st.sets(st.sampled_from(cells)))))
+
+
+def oracle_decomposition(d):
+    """Bags and orientation from the definition: the oracle's bags for both
+    layer orientations, the narrower kept (ties to the top layer), then one
+    singleton bag per isolated vertex."""
+    if d.m == 0:
+        return (), "top"
+    flip = {"u": "v", "v": "u"}
+    top = brute_force_bags(d)
+    bottom = [frozenset((flip[layer], idx) for layer, idx in b) for b in brute_force_bags(d.transpose())]
+    if max(map(len, bottom)) < max(map(len, top)):
+        bags, orientation = bottom, "bottom"
+    else:
+        bags, orientation = top, "top"
+    bags += [frozenset({("u", i)}) for i in range(1, d.p + 1) if all(e[0] != i for e in d.edges)]
+    bags += [frozenset({("v", x)}) for x in range(1, d.q + 1) if all(e[1] != x for e in d.edges)]
+    return tuple(bags), orientation
 
 
 class TestEdgeOrder:
@@ -137,6 +171,31 @@ class TestBuilder:
             assert pd.width <= k + 1
 
 
+class TestAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(drawings())
+    @example(Drawing(3, 4, frozenset()))
+    @example(Drawing(4, 5, frozenset([(2, 3), (3, 1), (3, 4)])))
+    @example(opt2planar(2))
+    def test_bags_and_orientation_match_oracle(self, d):
+        for dd in (d, d.transpose()):
+            pd = build_path_decomposition(dd)
+            assert (pd.bags, pd.orientation) == oracle_decomposition(dd)
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawings())
+    @example(complete_grid(3, 3))
+    def test_related_vertices_are_oracle_bag_minus_endpoints(self, d):
+        for dd in (d, d.transpose()):
+            for pos, ((s, t), b) in enumerate(zip(edge_order(dd), brute_force_bags(dd)), 1):
+                assert {("v", y) for y in related_vertices(dd, pos)} == b - {("u", s), ("v", t)}
+
+    def test_both_orientations_exercised(self):
+        # the tie rule and the bottom orientation are both reachable
+        assert build_path_decomposition(Drawing(1, 3, frozenset([(1, 1), (1, 2), (1, 3)]))).orientation == "top"
+        assert build_path_decomposition(complete_grid(2, 4)).orientation == "bottom"
+
+
 class TestValidator:
     def test_p4_violation(self):
         d = Drawing(1, 3, frozenset([(1, 1), (1, 2), (1, 3)]))
@@ -169,6 +228,41 @@ class TestValidator:
         rep = validate_decomposition(d, PathDecomposition(bags))
         assert not rep.valid
         assert any(code == "P.1" for code, _ in rep.violations)
+
+    def test_p1_first_bag_then_smallest_vertex(self):
+        d = Drawing(2, 2, frozenset([(1, 1), (2, 2)]))
+        bags = (bag("u1", "v1"), bag("u1", "v1", "v7", "u9"), bag("u2", "v2", "u3"))
+        rep = validate_decomposition(d, PathDecomposition(bags))
+        assert rep.violations == (("P.1", "bag 2 contains u9 not in the graph"),)
+
+    def test_p2_smallest_missing_vertex(self):
+        d = Drawing(3, 2, frozenset([(1, 1)]))
+        rep = validate_decomposition(d, PathDecomposition((bag("u1", "v1"),)))
+        assert rep.violations == (("P.2", "vertex u2 appears in no bag"),)
+
+    def test_p3_smallest_uncovered_edge(self):
+        d = Drawing(2, 3, frozenset([(1, 1), (1, 3), (2, 2), (2, 3)]))
+        bags = (bag("u1", "v1"), bag("u1"), bag("u2", "v2"), bag("v3"))
+        rep = validate_decomposition(d, PathDecomposition(bags))
+        assert rep.violations == (("P.3", "edge (u1, v3) has no common bag"),)
+
+    def test_p4_smallest_scattered_vertex(self):
+        d = complete_grid(2, 2)
+        bags = (bag("u1", "v1", "v2", "u2"), bag("u1"), bag("v2"), bag("u2", "v1", "v2"))
+        rep = validate_decomposition(d, PathDecomposition(bags))
+        assert rep.violations == (("P.4", "bags containing u2 are not consecutive"),)
+
+    def test_all_four_properties_at_once(self):
+        d = Drawing(3, 3, frozenset([(1, 1), (2, 2), (3, 3)]))
+        bags = (bag("u1", "v1", "v2"), bag("u2", "v4", "u4"), bag("u1", "v2"), bag("v4"))
+        rep = validate_decomposition(d, PathDecomposition(bags))
+        assert not rep.valid
+        assert rep.violations == (
+            ("P.1", "bag 2 contains u4 not in the graph"),
+            ("P.2", "vertex u3 appears in no bag"),
+            ("P.3", "edge (u2, v2) has no common bag"),
+            ("P.4", "bags containing u1 are not consecutive"),
+        )
 
     def test_report_width(self):
         d = complete_grid(2, 2)
