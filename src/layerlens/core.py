@@ -39,6 +39,11 @@ __all__ = [
 ]
 
 
+def _is_int(value: object) -> bool:
+    """Integers only: True and False are bools, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Drawing:
     """A two-layer drawing: top vertices u_1..u_p, bottom vertices
@@ -53,20 +58,24 @@ class Drawing:
     edges: frozenset[Edge] = frozenset()
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.p) and _is_int(self.q)):
+            raise ValueError(f"layer sizes must be integers, got p={self.p!r}, q={self.q!r}")
         if self.p < 1 or self.q < 1:
             raise ValueError(f"layer sizes must be positive, got p={self.p}, q={self.q}")
-        if not isinstance(self.edges, frozenset):
-            listed = [tuple(e) for e in self.edges]
-            frozen = frozenset(listed)
-            if len(frozen) != len(listed):
-                raise ValueError("duplicate edges are not allowed")
-            object.__setattr__(self, "edges", frozen)
-        for e in self.edges:
-            if len(e) != 2 or not all(isinstance(c, int) for c in e):
+        edges = self.edges
+        if not isinstance(edges, frozenset):
+            edges = [tuple(e) for e in edges]
+        for e in edges:
+            if len(e) != 2 or not (_is_int(e[0]) and _is_int(e[1])):
                 raise ValueError(f"edge {e!r} is not a pair of integers")
             i, x = e
             if not (1 <= i <= self.p and 1 <= x <= self.q):
                 raise ValueError(f"edge {e} lies outside the {self.p}x{self.q} grid")
+        if not isinstance(self.edges, frozenset):
+            frozen = frozenset(edges)
+            if len(frozen) != len(edges):
+                raise ValueError("duplicate edges are not allowed")
+            object.__setattr__(self, "edges", frozen)
 
     @property
     def n(self) -> int:
@@ -160,41 +169,40 @@ def crossing_profile(d: Drawing) -> CrossingProfile:
     if m == 0:
         return CrossingProfile({}, 0, 0)
 
-    left: dict[Edge, int] = {}
+    # the trees index bottom vertices by rank among those used, so their
+    # size follows m rather than q
+    rank = {x: r for r, x in enumerate(sorted({x for _, x in edges}), 1)}
+    xs = [rank[x] for _, x in edges]
+    counts = [0] * m
     total = 0
-    tree = _Fenwick(d.q)
-    inserted = 0
+    tree = _Fenwick(len(rank))
     idx = 0
     while idx < m:
         j = idx
         while j < m and edges[j][0] == edges[idx][0]:
             j += 1
-        group = edges[idx:j]
-        for e in group:
-            c = inserted - tree.prefix(e[1])
-            left[e] = c
+        for t in range(idx, j):
+            c = idx - tree.prefix(xs[t])  # idx edges are in the tree
+            counts[t] = c
             total += c
-        for e in group:
-            tree.add(e[1])
-        inserted += len(group)
+        for t in range(idx, j):
+            tree.add(xs[t])
         idx = j
 
-    right: dict[Edge, int] = {}
-    tree = _Fenwick(d.q)
+    tree = _Fenwick(len(rank))
     idx = m
     while idx > 0:
         j = idx
         while j > 0 and edges[j - 1][0] == edges[idx - 1][0]:
             j -= 1
-        group = edges[j:idx]
-        for e in group:
-            right[e] = tree.prefix(e[1] - 1)
-        for e in group:
-            tree.add(e[1])
+        for t in range(j, idx):
+            counts[t] += tree.prefix(xs[t] - 1)
+        for t in range(j, idx):
+            tree.add(xs[t])
         idx = j
 
-    per = {e: left[e] + right[e] for e in edges}
-    return CrossingProfile(per, total, max(per.values()))
+    per = dict(zip(edges, counts))
+    return CrossingProfile(per, total, max(counts))
 
 
 def is_k_planar(d: Drawing, k: int) -> bool:
@@ -296,34 +304,21 @@ def drawing_to_json(d: Drawing) -> dict:
     return {"p": d.p, "q": d.q, "edges": [list(e) for e in d.sorted_edges()]}
 
 
-def _is_int(value: object) -> bool:
-    """JSON integers only: true and false parse as bool, a subclass of int."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def drawing_from_json(data: dict) -> Drawing:
-    """Parse the dict form; raises ValueError on malformed input."""
+    """Parse the dict form; raises ValueError on malformed input, including
+    JSON booleans where integers belong."""
     if not isinstance(data, dict):
         raise ValueError("drawing JSON must be an object")
     for key in ("p", "q", "edges"):
         if key not in data:
             raise ValueError(f"drawing JSON is missing {key!r}")
-    p, q, edges = data["p"], data["q"], data["edges"]
-    if not _is_int(p) or not _is_int(q):
-        raise ValueError("p and q must be integers")
+    edges = data["edges"]
     if not isinstance(edges, list):
         raise ValueError("edges must be a list of [i, x] pairs")
-    parsed = []
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise ValueError(f"edge {e!r} is not an [i, x] pair")
-        i, x = e
-        if not _is_int(i) or not _is_int(x):
-            raise ValueError(f"edge {e!r} has non-integer endpoints")
-        parsed.append((i, x))
-    if len(set(parsed)) != len(parsed):
-        raise ValueError("duplicate edges are not allowed")
-    return Drawing(p, q, frozenset(parsed))
+    return Drawing(data["p"], data["q"], edges)
 
 
 def load_drawing(path: str) -> Drawing:

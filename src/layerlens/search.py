@@ -9,8 +9,11 @@ bound over grid cells in lexicographic (top, bottom) order with
   partial canonicalization under 180 degree rotation of the grid,
 * an admissible bound: the current edge count plus the number of future
   cells that are still individually addable,
-* incremental state: per-edge crossing counters with a saturated-edge
-  bitmask (k-planar), or chain lengths of pairwise crossing sets
+* one DFS for both constraints: including a cell returns a new state
+  whose blocked-cell bitmask marks the cells that can no longer be
+  added, so the bound is one popcount.  The state is bit-sliced masks,
+  "crossed by at least j chosen cells" (k-planar) or "crosses a chosen
+  cell whose pairwise crossing chain has at least j edges"
   (quasiplanar).
 
 ``minimax_k`` minimizes the maximum per-edge crossing count of an
@@ -22,11 +25,13 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import permutations
 
-from .core import Drawing, Edge
+from .core import Drawing, Edge, _is_int
 
 __all__ = [
     "KPlanar",
@@ -54,8 +59,8 @@ class KPlanar:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
+        if not _is_int(self.k) or self.k < 0:
+            raise ValueError(f"k must be a non-negative integer, got {self.k!r}")
 
     @property
     def label(self) -> str:
@@ -69,8 +74,8 @@ class Quasiplanar:
     h: int
 
     def __post_init__(self) -> None:
-        if self.h < 2:
-            raise ValueError("h must be at least 2")
+        if not _is_int(self.h) or self.h < 2:
+            raise ValueError(f"h must be an integer of at least 2, got {self.h!r}")
 
     @property
     def label(self) -> str:
@@ -147,13 +152,70 @@ def _cross_masks(cells: list[Edge]) -> list[int]:
     return masks
 
 
+# (blocked mask, bit-sliced masks of the constraint), never mutated.  The
+# masks are built from list displays: tuple(genexpr) resizes its result,
+# and the resized tuples pile up in CPython's tuple free lists (~0.6 MB
+# of peak RSS at n = 12).
+_State = tuple[int, tuple[int, ...]]
+_Include = Callable[[int, int, _State], _State]  # (pos, chosen, state) -> new state
+
+
+def _kplanar_include(k: int, cross: list[int]) -> tuple[_Include, _State]:
+    """Include step for "every edge crossed at most k times".
+
+    ``levels[j]`` marks the cells crossed by at least j chosen cells
+    (j = 0..k+1, level 0 is every cell).  A later cell is blocked once it
+    is crossed k+1 times or crosses a chosen cell that has k crossings.
+    """
+
+    def include(pos: int, chosen: int, state: _State) -> _State:
+        blocked, levels = state
+        cm = cross[pos]
+        grown = (-1, *[levels[j] | (levels[j - 1] & cm) for j in range(1, k + 2)])
+        # chosen cells that have just reached k crossings, and pos if it has k
+        full = (grown[k] & ~levels[k] & chosen) | (levels[k] & (1 << pos))
+        blocked |= grown[k + 1]
+        while full:
+            low = full & -full
+            blocked |= cross[low.bit_length() - 1]
+            full ^= low
+        return blocked, grown
+
+    return include, (0, (-1,) + (0,) * (k + 1))
+
+
+def _quasiplanar_include(h: int, cross: list[int]) -> tuple[_Include, _State]:
+    """Include step for "no h pairwise crossing edges".
+
+    Pairwise crossing sets are chains of the crossing relation in cell
+    order, and every chosen cell precedes every undecided one, so a cell's
+    longest chain is fixed by the chosen cells.  ``reach[j]`` marks the
+    cells crossing a chosen cell whose chain has at least j + 1 edges
+    (j = 0..h-2); the last level is the blocked mask.
+    """
+
+    def include(pos: int, chosen: int, state: _State) -> _State:
+        reach = state[1]
+        j = 0  # pos ends a chain of j + 1 edges; j < h - 1 as pos is not blocked
+        while reach[j] >> pos & 1:
+            j += 1
+        cm = cross[pos]
+        reach = (*[r | cm for r in reach[: j + 1]], *reach[j + 1 :])
+        return reach[-1], reach
+
+    return include, (0, (0,) * (h - 1))
+
+
 def _search_split(p: int, q: int, constraint: Constraint, start_best: int) -> tuple[int, list[Edge] | None, int]:
     """Best edge count over subsets of the p x q grid, strictly above
     ``start_best``; returns (best, cells or None if no improvement, nodes).
 
     The DFS decides cells in lexicographic order, include branch first.
     Cells that cross nothing are always included: adding them never
-    violates either constraint and never hurts the objective.
+    violates either constraint and never hurts the objective.  The
+    constraint only enters through its include step, which returns a new
+    state whose ``blocked`` bitmask marks the cells that can no longer be
+    added; the bound counts the later cells outside it.
 
     Rotation canonicalization: the 180 degree rotation maps cell t to cell
     N-1-t and preserves both constraints, so each drawing and its rotation
@@ -165,125 +227,41 @@ def _search_split(p: int, q: int, constraint: Constraint, start_best: int) -> tu
     cells = _grid_cells(p, q)
     n_cells = len(cells)
     cross = _cross_masks(cells)
-    decisions = [False] * n_cells
-    state = [0] * n_cells  # crossing counters (k-planar) or chain lengths (quasi)
+    future = [((1 << n_cells) - 1) >> pos << pos for pos in range(n_cells + 1)]
+    if isinstance(constraint, KPlanar):
+        include, start = _kplanar_include(constraint.k, cross)
+    else:
+        include, start = _quasiplanar_include(constraint.h, cross)
     nodes = 0
     best = start_best
     best_cells: list[Edge] | None = None
 
-    if isinstance(constraint, KPlanar):
-        k = constraint.k
-
-        def rec(pos: int, m: int, chosen: int, sat: int, eq: bool) -> None:
-            nonlocal nodes, best, best_cells
-            nodes += 1
-            if pos == n_cells:
-                if m > best:
-                    best = m
-                    best_cells = [cells[t] for t in range(n_cells) if decisions[t]]
-                return
-            if m + (n_cells - pos) <= best:
-                return
-            cap = m
-            for t in range(pos, n_cells):
-                cm = cross[t]
-                if not cm & sat and (cm & chosen).bit_count() <= k:
-                    cap += 1
-                    if cap > best:
-                        break
-            if cap <= best:
-                return
-
-            mirror = n_cells - 1 - pos
-            eq_inc = eq
-            eq_exc = eq
-            force_include = False
-            if eq and mirror < pos:
-                if decisions[mirror]:
-                    force_include = True
-                else:
-                    eq_inc = False
-
-            cm = cross[pos]
-            if not cm & sat and (cm & chosen).bit_count() <= k:
-                cnt = (cm & chosen).bit_count()
-                newsat = sat
-                if cnt == k:
-                    newsat |= 1 << pos
-                state[pos] = cnt
-                touched = []
-                mm = cm & chosen
-                while mm:
-                    low = mm & -mm
-                    b = low.bit_length() - 1
-                    mm ^= low
-                    state[b] += 1
-                    if state[b] == k:
-                        newsat |= 1 << b
-                    touched.append(b)
-                decisions[pos] = True
-                rec(pos + 1, m + 1, chosen | (1 << pos), newsat, eq_inc)
-                decisions[pos] = False
-                for b in touched:
-                    state[b] -= 1
-            if cm != 0 and not force_include:
-                rec(pos + 1, m, chosen, sat, eq_exc)
-
-        rec(0, 0, 0, 0, True)
-        return best, best_cells, nodes
-
-    hcap = constraint.h - 1  # longest allowed pairwise crossing chain
-
-    def chain_if_added(cell: int, chosen: int) -> int:
-        mm = cross[cell] & chosen
-        longest = 0
-        while mm:
-            low = mm & -mm
-            b = low.bit_length() - 1
-            mm ^= low
-            if state[b] > longest:
-                longest = state[b]
-        return longest + 1
-
-    def recq(pos: int, m: int, chosen: int, eq: bool) -> None:
+    def rec(pos: int, m: int, chosen: int, state: _State, eq: bool) -> None:
         nonlocal nodes, best, best_cells
         nodes += 1
+        blocked = state[0]
+        if m + (future[pos] & ~blocked).bit_count() <= best:
+            return
         if pos == n_cells:
-            if m > best:
-                best = m
-                best_cells = [cells[t] for t in range(n_cells) if decisions[t]]
-            return
-        if m + (n_cells - pos) <= best:
-            return
-        cap = m
-        for t in range(pos, n_cells):
-            if chain_if_added(t, chosen) <= hcap:
-                cap += 1
-                if cap > best:
-                    break
-        if cap <= best:
+            best = m
+            best_cells = [cells[t] for t in range(n_cells) if chosen >> t & 1]
             return
 
         mirror = n_cells - 1 - pos
         eq_inc = eq
-        eq_exc = eq
         force_include = False
         if eq and mirror < pos:
-            if decisions[mirror]:
+            if chosen >> mirror & 1:
                 force_include = True
             else:
                 eq_inc = False
 
-        chain = chain_if_added(pos, chosen)
-        if chain <= hcap:
-            state[pos] = chain
-            decisions[pos] = True
-            recq(pos + 1, m + 1, chosen | (1 << pos), eq_inc)
-            decisions[pos] = False
-        if cross[pos] != 0 and not force_include:
-            recq(pos + 1, m, chosen, eq_exc)
+        if not blocked >> pos & 1:
+            rec(pos + 1, m + 1, chosen | (1 << pos), include(pos, chosen, state), eq_inc)
+        if cross[pos] and not force_include:
+            rec(pos + 1, m, chosen, state, eq)
 
-    recq(0, 0, 0, True)
+    rec(0, 0, 0, start, True)
     return best, best_cells, nodes
 
 
@@ -315,23 +293,18 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
     best_split: tuple[int, int] | None = None
     best_cells: list[Edge] | None = None
 
-    if threads == 1 or len(splits) == 1:
-        for p, q in splits:
-            got, cells, nodes = _search_split(p, q, constraint, best)
+    with ExitStack() as stack:
+        if threads == 1 or len(splits) == 1:
+            # lazy, so each split starts from the best of the splits before it
+            results = (_search_split(p, q, constraint, best) for p, q in splits)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(threads, len(splits))))
+            results = pool.map(_split_job, [(p, q, constraint) for p, q in splits])
+        for split, (got, cells, nodes) in zip(splits, results):
             total_nodes += nodes
-            if got > best and cells is not None:
+            if got > best:
                 best = got
-                best_split = (p, q)
-                best_cells = cells
-    else:
-        jobs = [(p, q, constraint) for p, q in splits]
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            results = list(pool.map(_split_job, jobs))
-        for (p, q), (got, cells, nodes) in zip(splits, results):
-            total_nodes += nodes
-            if got > best and cells is not None:
-                best = got
-                best_split = (p, q)
+                best_split = split
                 best_cells = cells
 
     assert best_split is not None and best_cells is not None

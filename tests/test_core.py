@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,18 @@ class TestDrawing:
     def test_rejects_duplicate_edges(self):
         with pytest.raises(ValueError, match="duplicate"):
             Drawing(2, 2, [(1, 1), (1, 1)])
+
+    @pytest.mark.parametrize("p,q", [(2.5, 2), (2, 2.0), (True, 2), (2, False), ("2", 2), (None, 2)])
+    def test_rejects_non_integer_layer_sizes(self, p, q):
+        with pytest.raises(ValueError, match="integers"):
+            Drawing(p, q, frozenset())
+
+    @pytest.mark.parametrize("edge", [(True, 1), (1, True), (1.0, 1), (1, "1")])
+    def test_rejects_non_integer_edge_coordinates(self, edge):
+        with pytest.raises(ValueError, match="integers"):
+            Drawing(2, 2, [edge])
+        with pytest.raises(ValueError, match="integers"):
+            Drawing(2, 2, frozenset([edge]))
 
     def test_isolated_vertices_allowed(self):
         d = Drawing(4, 4, frozenset([(1, 1)]))
@@ -151,6 +164,28 @@ class TestCrossingProfile:
             fast, slow = crossing_profile(d), brute_force_profile(d)
             assert fast.per_edge == slow.per_edge
             assert fast.total == slow.total
+
+    def test_matches_oracle_on_sparse_bottom_indices(self):
+        # few edges spread over a huge bottom layer: the trees work on ranks
+        rng = random.Random(7)
+        for _ in range(50):
+            p, q = rng.randint(1, 6), 10**6
+            cells = {(rng.randint(1, p), rng.choice([1, q, rng.randint(1, q)])) for _ in range(rng.randint(1, 12))}
+            d = Drawing(p, q, frozenset(cells))
+            fast, slow = crossing_profile(d), brute_force_profile(d)
+            assert fast.per_edge == slow.per_edge
+            assert fast.total == slow.total
+
+    def test_memory_follows_edges_not_layer_size(self):
+        d = Drawing(2, 10**6, frozenset([(1, 10**6), (2, 1)]))
+        tracemalloc.start()
+        try:
+            prof = crossing_profile(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof.total == 1
+        assert peak < 1_000_000
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -28,6 +28,13 @@ class TestConstraints:
         with pytest.raises(ValueError):
             Quasiplanar(1)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, "3", None])
+    def test_rejects_non_integer_parameters(self, value):
+        with pytest.raises(ValueError):
+            KPlanar(value)
+        with pytest.raises(ValueError):
+            Quasiplanar(value)
+
 
 class TestMaxDensity:
     @pytest.mark.parametrize(
@@ -85,6 +92,39 @@ class TestMaxDensity:
             seq = max_density(n, cons, threads=1)
             par = max_density(n, cons, threads=3)
             assert seq.best_m == par.best_m
+            assert seq.witness == par.witness
+
+    # Optimum, node count and witness cells ("ix" = top i, bottom x) of the
+    # search tree; any change to the DFS that walks a different tree or
+    # keeps a different first optimum shows here.
+    @pytest.mark.parametrize(
+        "n,constraint,best_m,nodes,cells",
+        [
+            (6, KPlanar(0), 5, 41, "11 12 13 14 15"),
+            (6, KPlanar(2), 7, 45, "11 12 13 21 22 23 24"),
+            (6, KPlanar(5), 9, 32, "11 12 13 21 22 23 31 32 33"),
+            (6, Quasiplanar(2), 5, 41, "11 12 13 14 15"),
+            (6, Quasiplanar(3), 8, 28, "11 12 13 14 21 22 23 24"),
+            (6, Quasiplanar(4), 9, 32, "11 12 13 21 22 23 31 32 33"),
+            (8, KPlanar(0), 7, 280, "11 12 13 14 15 16 17"),
+            (8, KPlanar(2), 11, 401, "11 12 13 21 22 23 24 25 33 34 35"),
+            (8, KPlanar(5), 14, 236, "11 12 13 21 22 23 24 31 32 33 34 42 43 44"),
+            (8, Quasiplanar(2), 7, 280, "11 12 13 14 15 16 17"),
+            (8, Quasiplanar(3), 12, 319, "11 12 13 14 15 16 21 22 23 24 25 26"),
+            (8, Quasiplanar(4), 15, 67, "11 12 13 14 15 21 22 23 24 25 31 32 33 34 35"),
+            (10, KPlanar(0), 9, 1994, "11 12 13 14 15 16 17 18 19"),
+            (10, KPlanar(2), 14, 5720, "11 12 13 21 22 23 24 33 34 35 36 44 45 46"),
+            (10, KPlanar(5), 18, 19542, "11 12 13 21 22 23 24 31 32 34 35 42 43 44 45 53 54 55"),
+            (10, Quasiplanar(2), 9, 1994, "11 12 13 14 15 16 17 18 19"),
+            (10, Quasiplanar(3), 16, 10023, "11 12 13 14 15 16 17 18 21 22 23 24 25 26 27 28"),
+            (10, Quasiplanar(4), 21, 2453, "11 12 13 14 15 16 17 21 22 23 24 25 26 27 31 32 33 34 35 36 37"),
+        ],
+    )
+    def test_pinned_search_tree(self, n, constraint, best_m, nodes, cells):
+        r = max_density(n, constraint)
+        assert r.best_m == best_m
+        assert r.stats.nodes == nodes
+        assert r.witness.sorted_edges() == [(int(c[0]), int(c[1])) for c in cells.split()]
 
     def test_stats_populated(self):
         r = max_density(6, KPlanar(2))
