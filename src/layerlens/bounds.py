@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .families import band_offset
+from .families import FAMILIES, band_offset
 
 __all__ = [
     "CoefficientTable",
@@ -203,7 +203,7 @@ class GeneralLowerBound:
     def edge_count(self, p: int) -> int:
         if p <= self.ell:
             raise ValueError(f"p must exceed the band half-width {self.ell}")
-        return 2 * (self.ell * p - self.ell * (self.ell + 1) // 2)
+        return FAMILIES["general_k"].counts(p, self.k)[1]
 
 
 def density_lower_bound_general(k: int) -> GeneralLowerBound:

@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import bounds as bnd
@@ -120,25 +120,8 @@ def analyze_drawing(d: Drawing) -> AnalysisReport:
 
 
 def _report_json(r: AnalysisReport) -> dict:
-    return {
-        "p": r.p,
-        "q": r.q,
-        "n": r.n,
-        "m": r.m,
-        "total_crossings": r.total_crossings,
-        "max_per_edge": r.max_per_edge,
-        "mutually_crossing": r.mutually_crossing,
-        "planar_edges": [list(e) for e in r.planar_edges],
-        "brick_count": r.brick_count,
-        "pathwidth_width": r.pathwidth_width,
-        "cubic_bound": None if r.cubic_bound is None else str(r.cubic_bound),
-        "cubic_bound_holds": r.cubic_bound_holds,
-        "linear_bound_clamped": str(r.linear_bound_clamped),
-        "linear_bound_holds": r.linear_bound_holds,
-        "quasiplanar_h": r.quasiplanar_h,
-        "quasiplanar_trivial": r.quasiplanar_trivial,
-        "quasiplanar_holds": r.quasiplanar_holds,
-    }
+    """The report's fields in declaration order, fractions as strings."""
+    return {key: str(v) if isinstance(v, Fraction) else v for key, v in asdict(r).items()}
 
 
 def _report_text(r: AnalysisReport) -> str:
@@ -186,21 +169,20 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("LAYERLENS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _threads(args: argparse.Namespace) -> int:
-    """``--threads`` when given, which must be positive, else the default."""
-    if args.threads is None:
-        return _default_threads()
-    if args.threads < 1:
-        raise _UsageError(f"--threads must be positive, got {args.threads}")
-    return args.threads
+    """``--threads`` when given, else ``LAYERLENS_THREADS``, else 1; either
+    source must hold a positive integer."""
+    if args.threads is not None:
+        source, value = "--threads", args.threads
+    else:
+        source, raw = "LAYERLENS_THREADS", os.environ.get("LAYERLENS_THREADS", "1")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise _UsageError(f"LAYERLENS_THREADS must be a positive integer, got {raw!r}") from None
+    if value < 1:
+        raise _UsageError(f"{source} must be positive, got {value}")
+    return value
 
 
 def _load_table(path: str | None) -> bnd.CoefficientTable:

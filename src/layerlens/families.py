@@ -4,20 +4,32 @@ Every generator returns a :class:`~layerlens.core.Drawing` whose vertex
 and edge counts follow a closed form, and whose per-edge crossing count
 stays within the advertised cap.  Index ranges are clipped at the layer
 boundaries; clipped edges are omitted, never wrapped.
+
+The registry :data:`FAMILIES` is the single source of each family's
+minimum size, advertised cap and closed-form (n, m); :class:`FamilySpec`,
+:func:`min_size`, :func:`generate`, :func:`advertised_k`,
+:func:`closed_form`, the reproduction suite and the band lower bound all
+read it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
-from .core import Drawing, Edge
+from .core import Drawing, Edge, _is_int
 
 __all__ = [
+    "Family",
+    "FAMILIES",
     "FamilySpec",
     "FAMILY_NAMES",
+    "min_size",
     "generate",
     "advertised_k",
+    "closed_form",
     "band_offset",
     "opt2planar",
     "planar3_family",
@@ -27,17 +39,6 @@ __all__ = [
     "general_k_family",
     "special_s",
 ]
-
-FAMILY_NAMES = (
-    "opt2planar",
-    "planar3",
-    "planar4",
-    "planar5",
-    "planar6",
-    "general_k",
-    "special_s",
-)
-
 
 def opt2planar(beta: int) -> Drawing:
     """Chain of beta K_{2,3} bricks, consecutive bricks glued at a shared
@@ -185,21 +186,42 @@ def special_s() -> Drawing:
     return Drawing(4, 4, _SPECIAL_S_EDGES)
 
 
-_GENERATORS = {
-    "opt2planar": opt2planar,
-    "planar3": planar3_family,
-    "planar4": planar4_family,
-    "planar5": planar5_family,
-    "planar6": planar6_family,
+def _band_counts(p: int, k: int) -> tuple[int, int]:
+    ell = band_offset(k)
+    return 2 * p, 2 * (ell * p - ell * (ell + 1) // 2)
+
+
+class Family(NamedTuple):
+    """One registry row.  ``generator`` and ``counts`` take the family's
+    arguments (none, the size, or the size and k) and return the drawing
+    and its closed-form (n, m).  ``min_size`` is the smallest size the
+    generator accepts: None when it takes no size, a function of k when
+    ``cap`` is None, which means the cap is the spec's k."""
+
+    generator: Callable[..., Drawing]
+    min_size: int | Callable[[int], int] | None
+    cap: int | None
+    counts: Callable[..., tuple[int, int]]
+
+
+FAMILIES: dict[str, Family] = {
+    "opt2planar": Family(opt2planar, 1, 2, lambda beta: (3 * beta + 2, 5 * beta + 1)),
+    "planar3": Family(planar3_family, 3, 3, lambda p: (2 * p, 2 * (2 * p) - 4)),
+    "planar4": Family(planar4_family, 1, 4, lambda beta: (4 * beta + 2, 8 * beta + 1)),
+    "planar5": Family(planar5_family, 2, 5, lambda beta: (4 * beta + 2, 9 * beta)),
+    "planar6": Family(planar6_family, 2, 6, lambda beta: (4 * beta + 2, 10 * beta - 1)),
+    "general_k": Family(general_k_family, lambda k: band_offset(k) + 1, None, _band_counts),
+    "special_s": Family(special_s, None, 5, lambda: (8, 14)),
 }
 
-_MIN_SIZE = {
-    "opt2planar": 1,
-    "planar3": 3,
-    "planar4": 1,
-    "planar5": 2,
-    "planar6": 2,
-}
+FAMILY_NAMES = tuple(FAMILIES)
+
+
+def min_size(family: str, k: int | None = None) -> int | None:
+    """Smallest size the family's generator accepts, given the spec's k
+    where the cap is k; None for a family that takes no size."""
+    low = FAMILIES[family].min_size
+    return low(k) if callable(low) else low
 
 
 @dataclass(frozen=True)
@@ -213,36 +235,35 @@ class FamilySpec:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILY_NAMES:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILY_NAMES}")
-        if self.family == "general_k":
-            if self.k is None or self.k < 2:
-                raise ValueError("general_k requires k >= 2")
-        if self.family != "special_s" and self.size < 1:
-            raise ValueError("size must be positive")
+        if not (_is_int(self.size) and (self.k is None or _is_int(self.k))):
+            raise ValueError(f"size and k must be integers, got size={self.size!r}, k={self.k!r}")
+        if FAMILIES[self.family].cap is None and (self.k is None or self.k < 2):
+            raise ValueError(f"{self.family} requires k >= 2")
+        low = min_size(self.family, self.k)
+        if low is not None and self.size < low:
+            raise ValueError(f"{self.family} needs size >= {low}, got {self.size}")
+
+
+def _args(spec: FamilySpec) -> tuple[int, ...]:
+    family = FAMILIES[spec.family]
+    if family.min_size is None:
+        return ()
+    return (spec.size,) if family.cap is not None else (spec.size, spec.k)
 
 
 def generate(spec: FamilySpec) -> Drawing:
     """Build the drawing selected by a :class:`FamilySpec`."""
-    if spec.family == "special_s":
-        return special_s()
-    if spec.family == "general_k":
-        assert spec.k is not None
-        return general_k_family(spec.size, spec.k)
-    return _GENERATORS[spec.family](spec.size)
+    return FAMILIES[spec.family].generator(*_args(spec))
 
 
 def advertised_k(spec: FamilySpec) -> int:
     """The per-edge crossing cap each family is built to satisfy."""
-    caps = {
-        "opt2planar": 2,
-        "planar3": 3,
-        "planar4": 4,
-        "planar5": 5,
-        "planar6": 6,
-        "special_s": 5,
-    }
-    if spec.family == "general_k":
-        assert spec.k is not None
-        return spec.k
-    return caps[spec.family]
+    cap = FAMILIES[spec.family].cap
+    return spec.k if cap is None else cap
+
+
+def closed_form(spec: FamilySpec) -> tuple[int, int]:
+    """The (n, m) the selected drawing has by construction."""
+    return FAMILIES[spec.family].counts(*_args(spec))

@@ -1,11 +1,12 @@
 """Reference implementations used to cross-check the fast paths.
 
 Deliberately naive: a quadratic pair loop for the crossing profile, an
-exponential clique search for the mutually crossing number, a direct
-caterpillar-forest test, and path-decomposition bags straight from the
-definition of related vertices.  They share nothing with the optimized code
-beyond the drawing type and the one-line crossing predicate, so the two
-routes stay independent.
+exponential clique search for the mutually crossing number, a
+breadth-first component search under a direct caterpillar-forest test,
+and path-decomposition bags straight from the definition of related
+vertices.  They share nothing with the optimized code beyond the drawing
+type and the one-line crossing predicate, so the two routes stay
+independent.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .search import BipartiteGraph
 __all__ = [
     "brute_force_profile",
     "brute_force_mutually_crossing",
+    "connected_components",
     "is_caterpillar_forest",
     "brute_force_bags",
 ]
@@ -73,31 +75,37 @@ def brute_force_mutually_crossing(d: Drawing) -> int:
     return best
 
 
+def connected_components(p: int, q: int, edges) -> tuple[list[list[int]], list[list[int]]]:
+    """Connected components, each in breadth-first order, and the
+    adjacency lists of the bipartite graph on top vertices 0..p-1 and
+    bottom vertices p..p+q-1, where edge (i, x) joins i - 1 and p + x - 1."""
+    nbrs: list[list[int]] = [[] for _ in range(p + q)]
+    for i, x in edges:
+        nbrs[i - 1].append(p + x - 1)
+        nbrs[p + x - 1].append(i - 1)
+    seen = [False] * (p + q)
+    comps = []
+    for start in range(p + q):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for v in comp:  # comp grows while it is read: a queue
+            for w in nbrs[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        comps.append(comp)
+    return comps, nbrs
+
+
 def is_caterpillar_forest(g: BipartiteGraph) -> bool:
     """True iff every component is a tree whose non-leaf vertices induce a
     path.  These are exactly the graphs drawable on two layers without any
     crossing, which makes this an independent oracle for minimax_k == 0.
     """
-    verts = [("u", i) for i in range(1, g.u_count + 1)]
-    verts += [("v", x) for x in range(1, g.v_count + 1)]
-    nbrs: dict[tuple[str, int], list[tuple[str, int]]] = {v: [] for v in verts}
-    for i, x in g.edges:
-        nbrs[("u", i)].append(("v", x))
-        nbrs[("v", x)].append(("u", i))
-
-    seen: set[tuple[str, int]] = set()
-    for start in verts:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        head = 0
-        while head < len(comp):
-            for w in nbrs[comp[head]]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-            head += 1
+    comps, nbrs = connected_components(g.u_count, g.v_count, g.edges)
+    for comp in comps:
         comp_edges = sum(len(nbrs[v]) for v in comp) // 2
         if comp_edges != len(comp) - 1:
             return False  # cycle

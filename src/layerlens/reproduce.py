@@ -17,7 +17,7 @@ from . import bounds as bnd
 from . import families as fam
 from .core import Drawing, crossing_profile, induced_subdrawing, is_h_quasiplanar, is_k_planar, mutually_crossing_number
 from .decomposition import build_path_decomposition, validate_decomposition
-from .oracles import brute_force_mutually_crossing, brute_force_profile
+from .oracles import brute_force_mutually_crossing, brute_force_profile, connected_components
 from .search import KPlanar, Quasiplanar, max_density, minimax_k, complete_bipartite, random_drawing
 
 __all__ = ["CheckRow", "DENSITY_TABLE", "run_all", "rows_to_csv"]
@@ -83,50 +83,25 @@ def check_density_table(threads: int = 1) -> list[CheckRow]:
     return rows
 
 
+_BAND_KS = (2, 8, 18, 32, 50)
+
+
 def _family_instances(max_size: int):
-    """(label, drawing, advertised cap) for every generator up to max_size."""
-    for beta in range(1, max_size + 1):
-        yield f"opt2planar({beta})", fam.opt2planar(beta), 2
-    for p in range(3, max_size + 1):
-        yield f"planar3({p})", fam.planar3_family(p), 3
-    for beta in range(1, max_size + 1):
-        yield f"planar4({beta})", fam.planar4_family(beta), 4
-    for beta in range(2, max_size + 1):
-        yield f"planar5({beta})", fam.planar5_family(beta), 5
-    for beta in range(2, max_size + 1):
-        yield f"planar6({beta})", fam.planar6_family(beta), 6
-    for k in (2, 8, 18, 32, 50):
-        ell = fam.band_offset(k)
-        for p in range(ell + 1, max_size + 1):
-            yield f"general_k(p={p}, k={k})", fam.general_k_family(p, k), k
-    yield "special_s()", fam.special_s(), 5
-
-
-def _family_counts_ok(label: str, d: Drawing) -> bool:
-    name, args = label.split("(", 1)
-    args = args.rstrip(")")
-    if name == "opt2planar":
-        beta = int(args)
-        return (d.n, d.m) == (3 * beta + 2, 5 * beta + 1)
-    if name == "planar3":
-        p = int(args)
-        return (d.n, d.m) == (2 * p, 2 * (2 * p) - 4)
-    if name == "planar4":
-        beta = int(args)
-        return (d.n, d.m) == (4 * beta + 2, 8 * beta + 1)
-    if name == "planar5":
-        beta = int(args)
-        return (d.n, d.m) == (4 * beta + 2, 9 * beta)
-    if name == "planar6":
-        beta = int(args)
-        return (d.n, d.m) == (4 * beta + 2, 10 * beta - 1)
-    if name == "general_k":
-        p, k = (int(v.split("=")[1]) for v in args.split(", "))
-        ell = fam.band_offset(k)
-        return (d.n, d.m) == (2 * p, 2 * (ell * p - ell * (ell + 1) // 2))
-    if name == "special_s":
-        return (d.n, d.m) == (8, 14)
-    raise ValueError(label)
+    """(label, drawing, spec) for every registry family at every size up
+    to max_size, the band family once for each k in _BAND_KS."""
+    for name, family in fam.FAMILIES.items():
+        if family.min_size is None:
+            specs = [(f"{name}()", fam.FamilySpec(name))]
+        elif family.cap is None:
+            specs = [
+                (f"{name}(p={p}, k={k})", fam.FamilySpec(name, p, k=k))
+                for k in _BAND_KS
+                for p in range(fam.min_size(name, k), max_size + 1)
+            ]
+        else:
+            specs = [(f"{name}({size})", fam.FamilySpec(name, size)) for size in range(family.min_size, max_size + 1)]
+        for label, spec in specs:
+            yield label, fam.generate(spec), spec
 
 
 def check_families(max_size: int = 50, brute_max_size: int = 10) -> list[CheckRow]:
@@ -135,19 +110,19 @@ def check_families(max_size: int = 50, brute_max_size: int = 10) -> list[CheckRo
     rows = []
     count_fail = cap_fail = quasi_fail = total = 0
     first_fail = ""
-    for label, d, cap in _family_instances(max_size):
+    for label, d, spec in _family_instances(max_size):
         total += 1
-        if not _family_counts_ok(label, d):
+        if (d.n, d.m) != fam.closed_form(spec):
             count_fail += 1
             first_fail = first_fail or f"counts: {label}"
         # every size <= brute_max_size instance has at most 10*beta - 1 <= 99
         # edges, so the pair-loop oracle covers them all
         small = d.m <= 15 * brute_max_size
         prof = brute_force_profile(d) if small else crossing_profile(d)
-        if prof.max_per_edge > cap:
+        if prof.max_per_edge > fam.advertised_k(spec):
             cap_fail += 1
             first_fail = first_fail or f"cap: {label}"
-        if label.startswith("planar3") and mutually_crossing_number(d) > 2:
+        if spec.family == "planar3" and mutually_crossing_number(d) > 2:
             quasi_fail += 1
             first_fail = first_fail or f"quasi: {label}"
     ok = count_fail == cap_fail == quasi_fail == 0
@@ -293,23 +268,7 @@ def check_pathwidth(samples: int = 500) -> list[CheckRow]:
 
 
 def _is_connected(d: Drawing) -> bool:
-    if d.m == 0:
-        return d.n == 1
-    adj: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for i, x in d.edges:
-        adj.setdefault(("u", i), []).append(("v", x))
-        adj.setdefault(("v", x), []).append(("u", i))
-    if len(adj) != d.n:
-        return False  # isolated vertices
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == d.n
+    return len(connected_components(d.p, d.q, d.edges)[0]) == 1
 
 
 def check_relationship(samples: int = 500) -> list[CheckRow]:

@@ -91,6 +91,63 @@ class TestAnalyze:
         assert data["brick_count"] == 0
         assert data["pathwidth_width"] == 0
 
+    @pytest.mark.parametrize(
+        "drawing, expected",
+        [
+            (
+                Drawing(6, 6, frozenset((i, x) for i in range(1, 7) for x in range(1, 7))),
+                {
+                    "p": 6,
+                    "q": 6,
+                    "n": 12,
+                    "m": 36,
+                    "total_crossings": 225,
+                    "max_per_edge": 25,
+                    "mutually_crossing": 6,
+                    "planar_edges": [[1, 1], [6, 6]],
+                    "brick_count": 1,
+                    "pathwidth_width": 6,
+                    "cubic_bound": "1492992/15625",
+                    "cubic_bound_holds": True,
+                    "linear_bound_clamped": "647/6",
+                    "linear_bound_holds": True,
+                    "quasiplanar_h": 19,
+                    "quasiplanar_trivial": False,
+                    "quasiplanar_holds": True,
+                },
+            ),
+            (
+                special_s(),
+                {
+                    "p": 4,
+                    "q": 4,
+                    "n": 8,
+                    "m": 14,
+                    "total_crossings": 19,
+                    "max_per_edge": 5,
+                    "mutually_crossing": 3,
+                    "planar_edges": [[1, 1], [4, 4]],
+                    "brick_count": 1,
+                    "pathwidth_width": 4,
+                    "cubic_bound": None,
+                    "cubic_bound_holds": None,
+                    "linear_bound_clamped": "35/2",
+                    "linear_bound_holds": True,
+                    "quasiplanar_h": 6,
+                    "quasiplanar_trivial": False,
+                    "quasiplanar_holds": True,
+                },
+            ),
+        ],
+        ids=["complete-6x6", "special_s"],
+    )
+    def test_json_stdout_exact(self, tmp_path, capsys, drawing, expected):
+        # every key, in order, and every value with its JSON encoding
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(drawing_to_json(drawing)))
+        assert main(["analyze", str(path), "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
     def test_report_fields_match_library(self):
         r = analyze_drawing(special_s())
         assert (r.p, r.q, r.n, r.m) == (4, 4, 8, 14)
@@ -237,3 +294,13 @@ def test_nonpositive_threads_is_usage_error(capsys, command, threads):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--threads must be positive" in captured.err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_threads_variable_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("LAYERLENS_THREADS", value)
+    assert main(["search", "--n", "6", "--k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "LAYERLENS_THREADS" in captured.err
+

@@ -8,11 +8,14 @@ import pytest
 
 from layerlens.core import Drawing, brick_decomposition, crossing_profile, mutually_crossing_number
 from layerlens.families import (
+    FAMILY_NAMES,
     FamilySpec,
     advertised_k,
     band_offset,
+    closed_form,
     general_k_family,
     generate,
+    min_size,
     opt2planar,
     planar3_family,
     planar4_family,
@@ -195,3 +198,27 @@ class TestFamilySpec:
             FamilySpec("general_k", 5)  # missing k
         with pytest.raises(ValueError):
             FamilySpec("opt2planar", 0)
+
+    @pytest.mark.parametrize(
+        "size, k",
+        [(True, None), (2.0, None), ("3", None), (5, 2.5), (5, True)],
+    )
+    def test_rejects_non_integer_size_and_k(self, size, k):
+        with pytest.raises(ValueError, match="integers"):
+            FamilySpec("general_k" if k is not None else "opt2planar", size, k=k)
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_registry_consistent(self, name):
+        # the spec rejects one below the minimum size, and the minimum
+        # instance meets the registry's closed form and cap
+        k = 8 if name == "general_k" else None
+        low = min_size(name, k)
+        if low is None:
+            spec = FamilySpec(name)
+        else:
+            with pytest.raises(ValueError):
+                FamilySpec(name, low - 1, k=k)
+            spec = FamilySpec(name, low, k=k)
+        d = generate(spec)
+        assert (d.n, d.m) == closed_form(spec)
+        assert brute_force_profile(d).max_per_edge <= advertised_k(spec)
