@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 Edge = tuple[int, int]
 
@@ -64,18 +65,41 @@ class Drawing:
             raise ValueError(f"layer sizes must be positive, got p={self.p}, q={self.q}")
         edges = self.edges
         if not isinstance(edges, frozenset):
-            edges = [tuple(e) for e in edges]
-        for e in edges:
-            if len(e) != 2 or not (_is_int(e[0]) and _is_int(e[1])):
-                raise ValueError(f"edge {e!r} is not a pair of integers")
-            i, x = e
-            if not (1 <= i <= self.p and 1 <= x <= self.q):
-                raise ValueError(f"edge {e} lies outside the {self.p}x{self.q} grid")
+            edges = list(map(tuple, edges))
+        if not self._edges_plainly_valid(edges):
+            # the per-edge loop names the first offending edge in order
+            for e in edges:
+                if len(e) != 2 or not (_is_int(e[0]) and _is_int(e[1])):
+                    raise ValueError(f"edge {e!r} is not a pair of integers")
+                i, x = e
+                if not (1 <= i <= self.p and 1 <= x <= self.q):
+                    raise ValueError(f"edge {e} lies outside the {self.p}x{self.q} grid")
         if not isinstance(self.edges, frozenset):
             frozen = frozenset(edges)
             if len(frozen) != len(edges):
                 raise ValueError("duplicate edges are not allowed")
             object.__setattr__(self, "edges", frozen)
+
+    def _edges_plainly_valid(self, edges) -> bool:
+        """Bulk check at C speed: every edge is a tuple of two plain ints
+        inside the grid.  False only means the per-edge loop must decide,
+        which also accepts int subclasses other than bool."""
+        if not edges:
+            return True
+        if set(map(type, edges)) != {tuple}:
+            return False
+        try:
+            # strict: tuples of unequal lengths raise instead of truncating
+            tops, bots = zip(*edges, strict=True)
+        except ValueError:
+            return False
+        return (
+            set(map(type, tops)) == {int} == set(map(type, bots))
+            and 1 <= min(tops)
+            and max(tops) <= self.p
+            and 1 <= min(bots)
+            and max(bots) <= self.q
+        )
 
     @property
     def n(self) -> int:
@@ -130,79 +154,55 @@ class CrossingProfile:
     max_per_edge: int
 
 
-class _Fenwick:
-    """Counting tree over positions 1..size with prefix sums."""
-
-    __slots__ = ("size", "tree")
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.tree = [0] * (size + 1)
-
-    def add(self, idx: int) -> None:
-        tree = self.tree
-        while idx <= self.size:
-            tree[idx] += 1
-            idx += idx & -idx
-
-    def prefix(self, idx: int) -> int:
-        """Number of added positions <= idx."""
-        s = 0
-        tree = self.tree
-        while idx > 0:
-            s += tree[idx]
-            idx -= idx & -idx
-        return s
-
-
 def crossing_profile(d: Drawing) -> CrossingProfile:
-    """Count crossings per edge and in total in O(m log m).
+    """Count crossings per edge and in total in O(m log m), in one sweep.
 
-    Crossing pairs are inversions: with edges sorted by top index, an edge
-    crosses exactly the earlier edges with a strictly larger bottom index
-    and the later edges with a strictly smaller one.  Two sweeps with a
-    counting tree pick those up; edges sharing a top vertex never cross,
-    so each same-i group is queried in full before being inserted.
+    Crossing pairs are inversions: with edges sorted by (top, bottom), an
+    edge crosses exactly the earlier edges with a strictly larger bottom
+    index and the later edges with a strictly smaller one.  Bottom
+    vertices are ranked among those used, so the counting tree's size
+    follows m rather than q.  Edge t of rank r makes one prefix query,
+    s = number of earlier edges of rank <= r, and one insert; then
+
+    * earlier larger = t - s.  The earlier edges on t's own top vertex all
+      have smaller ranks, so they sit in s and never count as crossings;
+    * later smaller = below[r] + at[r] - s, where below[r] counts all
+      edges of rank < r and at[r] the earlier edges of rank exactly r: of
+      the below[r] edges, s - at[r] come before t, and the later edges on
+      t's top vertex have larger ranks.
     """
     edges = d.sorted_edges()
     m = len(edges)
     if m == 0:
         return CrossingProfile({}, 0, 0)
 
-    # the trees index bottom vertices by rank among those used, so their
-    # size follows m rather than q
     rank = {x: r for r, x in enumerate(sorted({x for _, x in edges}), 1)}
-    xs = [rank[x] for _, x in edges]
+    ranks = [rank[x] for _, x in edges]
+    size = len(rank)
+    # base[r] = below[r] + at[r]: starts as the edges of rank < r and grows
+    # by one as each edge of rank r is passed
+    base = [0] * (size + 2)
+    for r in ranks:
+        base[r + 1] += 1
+    base = list(accumulate(base))
+    tree = [0] * (size + 1)
     counts = [0] * m
     total = 0
-    tree = _Fenwick(len(rank))
-    idx = 0
-    while idx < m:
-        j = idx
-        while j < m and edges[j][0] == edges[idx][0]:
-            j += 1
-        for t in range(idx, j):
-            c = idx - tree.prefix(xs[t])  # idx edges are in the tree
-            counts[t] = c
-            total += c
-        for t in range(idx, j):
-            tree.add(xs[t])
-        idx = j
+    for t, r in enumerate(ranks):
+        s = 0
+        i = r
+        while i:
+            s += tree[i]
+            i &= i - 1
+        total += t - s
+        counts[t] = t + base[r] - 2 * s
+        base[r] += 1
+        i = r
+        while i <= size:
+            tree[i] += 1
+            i += i & -i
 
-    tree = _Fenwick(len(rank))
-    idx = m
-    while idx > 0:
-        j = idx
-        while j > 0 and edges[j - 1][0] == edges[idx - 1][0]:
-            j -= 1
-        for t in range(j, idx):
-            counts[t] += tree.prefix(xs[t] - 1)
-        for t in range(j, idx):
-            tree.add(xs[t])
-        idx = j
-
-    per = dict(zip(edges, counts))
-    return CrossingProfile(per, total, max(counts))
+    return CrossingProfile(dict(zip(edges, counts)), total, max(counts))
 
 
 def is_k_planar(d: Drawing, k: int) -> bool:

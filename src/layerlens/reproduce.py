@@ -1,9 +1,11 @@
 """End-to-end reproduction of the desk-scale results.
 
 Each ``check_*`` function covers one acceptance criterion and returns
-rows with expected versus actual values; ``run_all`` chains them.  The
-random inputs come from fixed master seeds, so every run sees the same
-drawings.
+rows with expected versus actual values; ``run_all`` chains them.
+Criteria 2, 5 and 7 read one summary per family instance: ``run_all``
+builds and profiles each instance once and hands the summaries to all
+three, and a check called alone builds its own.  The random inputs come
+from fixed master seeds, so every run sees the same drawings.
 """
 
 from __future__ import annotations
@@ -84,6 +86,10 @@ def check_density_table(threads: int = 1) -> list[CheckRow]:
 
 
 _BAND_KS = (2, 8, 18, 32, 50)
+_FAMILY_MAX_SIZE = 50
+# every family instance of size <= 10 has at most 10*beta - 1 <= 99 edges,
+# so the pair-loop oracle covers all of them
+_BRUTE_MAX_M = 150
 
 
 def _family_instances(max_size: int):
@@ -104,39 +110,81 @@ def _family_instances(max_size: int):
             yield label, fam.generate(spec), spec
 
 
-def check_families(max_size: int = 50, brute_max_size: int = 10) -> list[CheckRow]:
+def _is_connected(d: Drawing) -> bool:
+    return len(connected_components(d.p, d.q, d.edges)[0]) == 1
+
+
+@dataclass(frozen=True)
+class FamilySummary:
+    """What criteria 2, 5 and 7 read off one family instance, so that each
+    instance is built and profiled once per run and no drawing is kept."""
+
+    label: str
+    spec: fam.FamilySpec
+    n: int
+    m: int
+    total: int
+    max_per_edge: int
+    brute_max_per_edge: int | None  # the pair-loop oracle's, for m <= _BRUTE_MAX_M
+    connected: bool
+    mutually_crossing: int
+    special_s: bool | None  # see _linear_miss_special_s
+
+
+def _family_summaries() -> list[FamilySummary]:
+    """One pass over the family instances up to size 50."""
+    table = bnd.default_table()
+    threshold = bnd.density_threshold(table)
+    out = []
+    for label, d, spec in _family_instances(_FAMILY_MAX_SIZE):
+        prof = crossing_profile(d)
+        out.append(
+            FamilySummary(
+                label,
+                spec,
+                d.n,
+                d.m,
+                prof.total,
+                prof.max_per_edge,
+                brute_force_profile(d).max_per_edge if d.m <= _BRUTE_MAX_M else None,
+                _is_connected(d),
+                mutually_crossing_number(d),
+                _linear_miss_special_s(d, prof.total, table) if Fraction(d.m) >= threshold * d.n else None,
+            )
+        )
+    return out
+
+
+def check_families(summaries: list[FamilySummary] | None = None) -> list[CheckRow]:
     """Criterion 2: closed-form counts and advertised crossing caps for
     all sizes up to 50, with the brute-force profile on small sizes."""
-    rows = []
-    count_fail = cap_fail = quasi_fail = total = 0
+    if summaries is None:
+        summaries = _family_summaries()
+    count_fail = cap_fail = quasi_fail = 0
     first_fail = ""
-    for label, d, spec in _family_instances(max_size):
-        total += 1
-        if (d.n, d.m) != fam.closed_form(spec):
+    for s in summaries:
+        if (s.n, s.m) != fam.closed_form(s.spec):
             count_fail += 1
-            first_fail = first_fail or f"counts: {label}"
-        # every size <= brute_max_size instance has at most 10*beta - 1 <= 99
-        # edges, so the pair-loop oracle covers them all
-        small = d.m <= 15 * brute_max_size
-        prof = brute_force_profile(d) if small else crossing_profile(d)
-        if prof.max_per_edge > fam.advertised_k(spec):
+            first_fail = first_fail or f"counts: {s.label}"
+        cap = s.max_per_edge if s.brute_max_per_edge is None else s.brute_max_per_edge
+        if cap > fam.advertised_k(s.spec):
             cap_fail += 1
-            first_fail = first_fail or f"cap: {label}"
-        if spec.family == "planar3" and mutually_crossing_number(d) > 2:
+            first_fail = first_fail or f"cap: {s.label}"
+        if s.spec.family == "planar3" and s.mutually_crossing > 2:
             quasi_fail += 1
-            first_fail = first_fail or f"quasi: {label}"
+            first_fail = first_fail or f"quasi: {s.label}"
     ok = count_fail == cap_fail == quasi_fail == 0
-    rows.append(
+    total = len(summaries)
+    return [
         CheckRow(
             "2",
-            f"families up to size {max_size}: (n, m) closed forms and crossing caps",
+            f"families up to size {_FAMILY_MAX_SIZE}: (n, m) closed forms and crossing caps",
             f"{total} instances, 0 failures",
             f"{total} instances, {count_fail + cap_fail + quasi_fail} failures"
             + (f" ({first_fail})" if first_fail else ""),
             ok,
         )
-    )
-    return rows
+    ]
 
 
 def check_minimax() -> list[CheckRow]:
@@ -180,16 +228,25 @@ def _contains_special_s(d: Drawing) -> bool:
     return False
 
 
-def check_crossing_bounds(samples: int = 500) -> list[CheckRow]:
+def _linear_miss_special_s(d: Drawing, total: int, table: bnd.CoefficientTable) -> bool | None:
+    """None when the crossing total meets the clamped linear bound;
+    otherwise whether the drawing contains the exceptional sub-drawing."""
+    linear = max(Fraction(0), bnd.auxiliary_lower_bound(d.n, d.m, table))
+    return _contains_special_s(d) if Fraction(total) < linear else None
+
+
+def check_crossing_bounds(samples: int = 500, summaries: list[FamilySummary] | None = None) -> list[CheckRow]:
     """Criterion 5: above the density threshold, drawing crossings beat
     both lower bounds; linear-bound misses must contain the exceptional
     sub-drawing."""
+    if summaries is None:
+        summaries = _family_summaries()
     table = bnd.default_table()
     threshold = bnd.density_threshold(table)
-    drawings: list[tuple[str, Drawing]] = []
-    for label, d, _ in _family_instances(50):
-        if Fraction(d.m) >= threshold * d.n:
-            drawings.append((label, d))
+    # (label, n, m, crossing total, linear-bound miss as _linear_miss_special_s)
+    cases = [
+        (s.label, s.n, s.m, s.total, s.special_s) for s in summaries if Fraction(s.m) >= threshold * s.n
+    ]
     rng = random.Random(_BOUNDS_SEED)
     for idx in range(samples):
         p = rng.randint(6, 8)
@@ -197,35 +254,34 @@ def check_crossing_bounds(samples: int = 500) -> list[CheckRow]:
         n = p + q
         m_lo = -((-125 * n) // 48)  # ceil
         m = rng.randint(m_lo, p * q)
-        drawings.append((f"random[{idx}]", random_drawing(p, q, m, rng.randrange(2**32))))
+        d = random_drawing(p, q, m, rng.randrange(2**32))
+        total = crossing_profile(d).total
+        cases.append((f"random[{idx}]", d.n, d.m, total, _linear_miss_special_s(d, total, table)))
 
     cubic_viol = []
     linear_viol = []
     linear_s_notes = []
-    for label, d in drawings:
-        total = crossing_profile(d).total
-        cubic = bnd.crossing_lower_bound(d.n, d.m, table)
+    for label, n, m, total, special_s in cases:
+        cubic = bnd.crossing_lower_bound(n, m, table)
         assert cubic is not None
         if Fraction(total) < cubic:
             cubic_viol.append(label)
-        linear = max(Fraction(0), bnd.auxiliary_lower_bound(d.n, d.m, table))
-        if Fraction(total) < linear:
-            if _contains_special_s(d):
-                linear_s_notes.append(label)
-            else:
-                linear_viol.append(label)
+        if special_s:
+            linear_s_notes.append(label)
+        elif special_s is not None:
+            linear_viol.append(label)
 
     rows = [
         CheckRow(
             "5",
-            f"cubic crossing bound on {len(drawings)} dense drawings",
+            f"cubic crossing bound on {len(cases)} dense drawings",
             "0 violations",
             f"{len(cubic_viol)} violations" + (f" (first: {cubic_viol[0]})" if cubic_viol else ""),
             not cubic_viol,
         ),
         CheckRow(
             "5",
-            f"clamped linear crossing bound on {len(drawings)} dense drawings",
+            f"clamped linear crossing bound on {len(cases)} dense drawings",
             "0 violations outside exceptional sub-drawings",
             f"{len(linear_viol)} violations, {len(linear_s_notes)} exceptional-graph misses reported",
             not linear_viol,
@@ -267,17 +323,14 @@ def check_pathwidth(samples: int = 500) -> list[CheckRow]:
     ]
 
 
-def _is_connected(d: Drawing) -> bool:
-    return len(connected_components(d.p, d.q, d.edges)[0]) == 1
-
-
-def check_relationship(samples: int = 500) -> list[CheckRow]:
+def check_relationship(samples: int = 500, summaries: list[FamilySummary] | None = None) -> list[CheckRow]:
     """Criterion 7: a connected drawing with per-edge cap k has fewer than
     ceil(2k/3 + 2) pairwise crossing edges.  The cap is always the
     drawing's own profile maximum; family instances ride along."""
-    cases: list[tuple[str, Drawing]] = [
-        (label, d) for label, d, _ in _family_instances(50) if _is_connected(d)
-    ]
+    if summaries is None:
+        summaries = _family_summaries()
+    # (label, per-edge maximum, mutually crossing number)
+    cases = [(s.label, s.max_per_edge, s.mutually_crossing) for s in summaries if s.connected]
     rng = random.Random(_RELATION_SEED)
     produced = 0
     while produced < samples:
@@ -286,18 +339,20 @@ def check_relationship(samples: int = 500) -> list[CheckRow]:
         n = p + q
         m = rng.randint(n - 1, min(p * q, 3 * n))
         d = random_drawing(p, q, m, rng.randrange(2**32))
-        if not _is_connected(d) or crossing_profile(d).max_per_edge < 2:
+        if not _is_connected(d):
             continue
-        produced += 1
-        cases.append((f"random[{produced}]", d))
-    bad = 0
-    first = ""
-    for label, d in cases:
         k = crossing_profile(d).max_per_edge
         if k < 2:
             continue
+        produced += 1
+        cases.append((f"random[{produced}]", k, mutually_crossing_number(d)))
+    bad = 0
+    first = ""
+    for label, k, mcn in cases:
+        if k < 2:
+            continue
         h = bnd.quasiplanar_threshold(k)
-        if mutually_crossing_number(d) > h - 1:
+        if mcn > h - 1:
             bad += 1
             first = first or label
     return [
@@ -347,14 +402,15 @@ def check_oracle_equivalence(samples: int = 1000) -> list[CheckRow]:
 
 def run_all(threads: int = 1) -> list[CheckRow]:
     """All criteria in order; every row independent of thread count."""
+    summaries = _family_summaries()
     rows: list[CheckRow] = []
     rows += check_density_table(threads=threads)
-    rows += check_families()
+    rows += check_families(summaries)
     rows += check_minimax()
     rows += check_constants()
-    rows += check_crossing_bounds()
+    rows += check_crossing_bounds(summaries=summaries)
     rows += check_pathwidth()
-    rows += check_relationship()
+    rows += check_relationship(summaries=summaries)
     rows += check_oracle_equivalence()
     return rows
 

@@ -265,9 +265,8 @@ def _search_split(p: int, q: int, constraint: Constraint, start_best: int) -> tu
     return best, best_cells, nodes
 
 
-def _split_job(args: tuple[int, int, Constraint]) -> tuple[int, list[Edge] | None, int]:
-    p, q, constraint = args
-    return _search_split(p, q, constraint, 0)
+def _split_job(args: tuple[int, int, Constraint, int]) -> tuple[int, list[Edge] | None, int]:
+    return _search_split(*args)
 
 
 def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResult:
@@ -275,11 +274,13 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
     given constraint, with a witness drawing attaining it.
 
     Splits with p <= q are searched in increasing p; the running best is
-    carried across splits as the incumbent.  ``best_m`` does not depend on
-    the thread count; with threads > 1 the splits run in separate
-    processes (each from an incumbent of 0) and the witness is taken from
-    the smallest p attaining the optimum, which matches the sequential
-    choice.
+    carried across splits as the incumbent.  With threads > 1 all but the
+    last min(threads, splits) splits still run that way, and the last ones
+    run in separate processes, each from the incumbent the sequential
+    splits reached.  ``best_m`` and the witness do not depend on the
+    thread count: a split searched from an incumbent below its optimum
+    ends on its first optimal leaf in DFS order, whatever the incumbent,
+    and the witness is taken from the smallest p attaining the optimum.
     """
     if not 2 <= n <= MAX_DENSITY_N:
         raise ValueError(f"n must be between 2 and {MAX_DENSITY_N} (practical search range)")
@@ -293,14 +294,21 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
     best_split: tuple[int, int] | None = None
     best_cells: list[Edge] | None = None
 
+    workers = min(threads, len(splits))
+    n_seq = len(splits) - workers if workers > 1 else len(splits)
+
     with ExitStack() as stack:
-        if threads == 1 or len(splits) == 1:
-            # lazy, so each split starts from the best of the splits before it
-            results = (_search_split(p, q, constraint, best) for p, q in splits)
-        else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(threads, len(splits))))
-            results = pool.map(_split_job, [(p, q, constraint) for p, q in splits])
-        for split, (got, cells, nodes) in zip(splits, results):
+
+        def results():
+            # lazy, so each split starts from the best of the splits before
+            # it, and the parallel ones from the best of the sequential ones
+            for p, q in splits[:n_seq]:
+                yield _search_split(p, q, constraint, best)
+            if n_seq < len(splits):
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                yield from pool.map(_split_job, [(p, q, constraint, best) for p, q in splits[n_seq:]])
+
+        for split, (got, cells, nodes) in zip(splits, results()):
             total_nodes += nodes
             if got > best:
                 best = got

@@ -9,6 +9,7 @@ from __future__ import annotations
 import subprocess
 import sys
 
+from layerlens import families as fam
 from layerlens import reproduce as rep
 
 
@@ -51,6 +52,22 @@ def test_criterion_7_quasiplanarity_relationship():
 
 def test_criterion_8_oracle_equivalence():
     _report("8", rep.check_oracle_equivalence())
+
+
+def test_run_all_builds_each_family_instance_once(monkeypatch):
+    calls = 0
+    generate = fam.generate
+
+    def counting(spec):
+        nonlocal calls
+        calls += 1
+        return generate(spec)
+
+    monkeypatch.setattr(fam, "generate", counting)
+    assert all(r.passed for r in rep.run_all())
+    # one shared pass over the 482 instances up to size 50 for criteria 2, 5
+    # and 7, and the 82 up to size 10 that criterion 6 decomposes
+    assert calls == 482 + 82
 
 
 def test_criterion_9_reproduce_cli():

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,28 @@ class TestDrawing:
             Drawing(2, 2, [edge])
         with pytest.raises(ValueError, match="integers"):
             Drawing(2, 2, frozenset([edge]))
+
+    def test_names_the_first_offending_edge_in_order(self):
+        with pytest.raises(ValueError, match=re.escape("edge (1, 3) lies outside the 2x2 grid")):
+            Drawing(2, 2, [(1, 1), (1, 3), (True, 1)])
+        with pytest.raises(ValueError, match=re.escape("edge (True, 1) is not a pair of integers")):
+            Drawing(2, 2, [(1, 1), (True, 1), (1, 3)])
+
+    def test_non_tuple_edges_keep_their_errors(self):
+        with pytest.raises(TypeError):
+            Drawing(2, 2, frozenset([frozenset([1, 2])]))
+        with pytest.raises(ValueError, match=re.escape("edge (1, 2, 1) is not a pair of integers")):
+            Drawing(2, 2, [[1, 1], [1, 2, 1]])
+        assert Drawing(2, 2, [[1, 2], [2, 1]]).edges == frozenset([(1, 2), (2, 1)])
+
+    def test_accepts_int_subclasses_other_than_bool(self):
+        class Index(IntEnum):
+            ONE = 1
+            TWO = 2
+
+        for edges in ([(Index.ONE, Index.TWO), (2, 1)], frozenset([(Index.TWO, 1)])):
+            d = Drawing(2, 2, edges)
+            assert d.edges == frozenset(edges)
 
     def test_isolated_vertices_allowed(self):
         d = Drawing(4, 4, frozenset([(1, 1)]))
@@ -175,6 +199,31 @@ class TestCrossingProfile:
             fast, slow = crossing_profile(d), brute_force_profile(d)
             assert fast.per_edge == slow.per_edge
             assert fast.total == slow.total
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (1, 9), (9, 1)])
+    def test_matches_oracle_on_a_single_top_or_bottom_vertex(self, p, q):
+        # one same-top group, or every edge at one rank
+        rng = random.Random(p * 100 + q)
+        for m in range(p * q + 1):
+            d = random_drawing(p, q, m, rng.randrange(2**32))
+            assert crossing_profile(d) == brute_force_profile(d)
+
+    def test_matches_oracle_on_complete_grids(self):
+        for p in range(1, 9):
+            for q in range(1, 9):
+                d = complete_grid(p, q)
+                assert crossing_profile(d) == brute_force_profile(d)
+
+    def test_matches_oracle_on_many_tops_sharing_few_sparse_bottoms(self):
+        # many same-top groups over three bottom ranks: the terms for edges
+        # of equal rank before and after carry the whole count
+        rng = random.Random(5)
+        for _ in range(30):
+            p, q = rng.randint(2, 40), 10**6
+            bottoms = rng.sample(range(1, q + 1), 3)
+            cells = {(i, x) for i in range(1, p + 1) for x in bottoms if rng.random() < 0.6}
+            d = Drawing(p, q, frozenset(cells))
+            assert crossing_profile(d) == brute_force_profile(d)
 
     def test_memory_follows_edges_not_layer_size(self):
         d = Drawing(2, 10**6, frozenset([(1, 10**6), (2, 1)]))

@@ -94,6 +94,14 @@ class TestMaxDensity:
             assert seq.best_m == par.best_m
             assert seq.witness == par.witness
 
+    def test_parallel_splits_start_from_the_sequential_incumbent(self):
+        # splits p = 1..3 run in order, then p = 4 and 5 in two processes,
+        # both from the best of p <= 3
+        seq = max_density(11, KPlanar(8), threads=1)
+        par = max_density(11, KPlanar(8), threads=2)
+        assert par.stats.nodes == 147_356
+        assert (par.best_m, par.witness) == (seq.best_m, seq.witness)
+
     # Optimum, node count and witness cells ("ix" = top i, bottom x) of the
     # search tree; any change to the DFS that walks a different tree or
     # keeps a different first optimum shows here.
