@@ -65,41 +65,18 @@ class Drawing:
             raise ValueError(f"layer sizes must be positive, got p={self.p}, q={self.q}")
         edges = self.edges
         if not isinstance(edges, frozenset):
-            edges = list(map(tuple, edges))
-        if not self._edges_plainly_valid(edges):
-            # the per-edge loop names the first offending edge in order
-            for e in edges:
-                if len(e) != 2 or not (_is_int(e[0]) and _is_int(e[1])):
-                    raise ValueError(f"edge {e!r} is not a pair of integers")
-                i, x = e
-                if not (1 <= i <= self.p and 1 <= x <= self.q):
-                    raise ValueError(f"edge {e} lies outside the {self.p}x{self.q} grid")
+            edges = [tuple(e) for e in edges]
+        for e in edges:
+            if len(e) != 2 or not (_is_int(e[0]) and _is_int(e[1])):
+                raise ValueError(f"edge {e!r} is not a pair of integers")
+            i, x = e
+            if not (1 <= i <= self.p and 1 <= x <= self.q):
+                raise ValueError(f"edge {e} lies outside the {self.p}x{self.q} grid")
         if not isinstance(self.edges, frozenset):
             frozen = frozenset(edges)
             if len(frozen) != len(edges):
                 raise ValueError("duplicate edges are not allowed")
             object.__setattr__(self, "edges", frozen)
-
-    def _edges_plainly_valid(self, edges) -> bool:
-        """Bulk check at C speed: every edge is a tuple of two plain ints
-        inside the grid.  False only means the per-edge loop must decide,
-        which also accepts int subclasses other than bool."""
-        if not edges:
-            return True
-        if set(map(type, edges)) != {tuple}:
-            return False
-        try:
-            # strict: tuples of unequal lengths raise instead of truncating
-            tops, bots = zip(*edges, strict=True)
-        except ValueError:
-            return False
-        return (
-            set(map(type, tops)) == {int} == set(map(type, bots))
-            and 1 <= min(tops)
-            and max(tops) <= self.p
-            and 1 <= min(bots)
-            and max(bots) <= self.q
-        )
 
     @property
     def n(self) -> int:

@@ -128,13 +128,12 @@ class FamilySummary:
     brute_max_per_edge: int | None  # the pair-loop oracle's, for m <= _BRUTE_MAX_M
     connected: bool
     mutually_crossing: int
-    special_s: bool | None  # see _linear_miss_special_s
+    special_s: bool | None  # _linear_miss_special_s; criterion 5 reads it on dense instances
 
 
 def _family_summaries() -> list[FamilySummary]:
     """One pass over the family instances up to size 50."""
     table = bnd.default_table()
-    threshold = bnd.density_threshold(table)
     out = []
     for label, d, spec in _family_instances(_FAMILY_MAX_SIZE):
         prof = crossing_profile(d)
@@ -149,7 +148,7 @@ def _family_summaries() -> list[FamilySummary]:
                 brute_force_profile(d).max_per_edge if d.m <= _BRUTE_MAX_M else None,
                 _is_connected(d),
                 mutually_crossing_number(d),
-                _linear_miss_special_s(d, prof.total, table) if Fraction(d.m) >= threshold * d.n else None,
+                _linear_miss_special_s(d, prof.total, table),
             )
         )
     return out

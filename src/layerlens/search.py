@@ -29,7 +29,7 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, repeat
 
 from .core import Drawing, Edge, _is_int
 
@@ -265,10 +265,6 @@ def _search_split(p: int, q: int, constraint: Constraint, start_best: int) -> tu
     return best, best_cells, nodes
 
 
-def _split_job(args: tuple[int, int, Constraint, int]) -> tuple[int, list[Edge] | None, int]:
-    return _search_split(*args)
-
-
 def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResult:
     """Exact maximum edge count of an n-vertex two-layer drawing under the
     given constraint, with a witness drawing attaining it.
@@ -306,7 +302,8 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
                 yield _search_split(p, q, constraint, best)
             if n_seq < len(splits):
                 pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-                yield from pool.map(_split_job, [(p, q, constraint, best) for p, q in splits[n_seq:]])
+                ps, qs = zip(*splits[n_seq:])
+                yield from pool.map(_search_split, ps, qs, repeat(constraint), repeat(best))
 
         for split, (got, cells, nodes) in zip(splits, results()):
             total_nodes += nodes
