@@ -40,6 +40,7 @@ from .search import (
     Quasiplanar,
     SearchResult,
     SearchStats,
+    SplitStats,
     complete_bipartite,
     max_density,
     minimax_k,

@@ -7,8 +7,15 @@ bound over grid cells in lexicographic (top, bottom) order with
 
 * symmetry reduction: only splits with p <= q (layer swap), plus a
   partial canonicalization under 180 degree rotation of the grid,
-* an admissible bound: the current edge count plus the number of future
-  cells that are still individually addable,
+* an admissible bound: the current edge count plus the smaller of the
+  number of future cells that are still individually addable and the
+  exact optimum of the future cells taken on their own.  The latter is a
+  Russian-doll bound (Verfaillie, Lemaitre and Schiex, AAAI 1996): both
+  constraints are hereditary, so whatever a completion adds is itself an
+  allowed drawing on those cells, and the suffix optima are solved last
+  cell first by the same DFS, each with the next one as its incumbent,
+* per-split statistics: ``SearchStats.splits`` holds the nodes of every
+  split and the part of them spent on the suffix optima,
 * one DFS for both constraints: including a cell returns a new state
   whose blocked-cell bitmask marks the cells that can no longer be
   added, so the bound is one popcount.  The state is bit-sliced masks,
@@ -38,6 +45,7 @@ __all__ = [
     "Quasiplanar",
     "Constraint",
     "SearchStats",
+    "SplitStats",
     "SearchResult",
     "BipartiteGraph",
     "complete_bipartite",
@@ -86,9 +94,24 @@ Constraint = KPlanar | Quasiplanar
 
 
 @dataclass(frozen=True)
+class SplitStats:
+    """Work done on one split p + q = n: ``nodes`` counts every DFS node,
+    of which ``bound_nodes`` went into the suffix solves of the bound."""
+
+    p: int
+    q: int
+    nodes: int
+    bound_nodes: int
+
+
+@dataclass(frozen=True)
 class SearchStats:
+    """``nodes`` is the total over ``splits``, one record per split
+    searched, in increasing p."""
+
     nodes: int
     millis: float
+    splits: tuple[SplitStats, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -108,6 +131,8 @@ class BipartiteGraph:
     edges: frozenset[Edge] = frozenset()
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.u_count) and _is_int(self.v_count)):
+            raise ValueError(f"part sizes must be integers, got {self.u_count!r} and {self.v_count!r}")
         if self.u_count < 1 or self.v_count < 1:
             raise ValueError("part sizes must be positive")
         if not isinstance(self.edges, frozenset):
@@ -116,7 +141,10 @@ class BipartiteGraph:
             if len(frozen) != len(listed):
                 raise ValueError("duplicate edges are not allowed")
             object.__setattr__(self, "edges", frozen)
-        for u, v in self.edges:
+        for e in self.edges:
+            if len(e) != 2 or not (_is_int(e[0]) and _is_int(e[1])):
+                raise ValueError(f"edge {e!r} is not a pair of integers")
+            u, v = e
             if not (1 <= u <= self.u_count and 1 <= v <= self.v_count):
                 raise ValueError(f"edge {(u, v)} outside the vertex ranges")
 
@@ -206,16 +234,32 @@ def _quasiplanar_include(h: int, cross: list[int]) -> tuple[_Include, _State]:
     return include, (0, (0,) * (h - 1))
 
 
-def _search_split(p: int, q: int, constraint: Constraint, start_best: int) -> tuple[int, list[Edge] | None, int]:
+def _search_split(
+    p: int, q: int, constraint: Constraint, start_best: int
+) -> tuple[int, list[Edge] | None, SplitStats, list[int]]:
     """Best edge count over subsets of the p x q grid, strictly above
-    ``start_best``; returns (best, cells or None if no improvement, nodes).
+    ``start_best``; returns (best, cells or None if no improvement, stats,
+    the bound table ``cap`` described below).
 
     The DFS decides cells in lexicographic order, include branch first.
     Cells that cross nothing are always included: adding them never
     violates either constraint and never hurts the objective.  The
     constraint only enters through its include step, which returns a new
     state whose ``blocked`` bitmask marks the cells that can no longer be
-    added; the bound counts the later cells outside it.
+    added.
+
+    The bound at cell ``pos`` is ``m + min(cap[pos], addable)``, where
+    ``addable`` counts the later cells outside ``blocked`` and ``cap[pos]``
+    is the most cells of ``pos..N-1`` the constraint allows taken on their
+    own (a Russian-doll bound).  Both constraints are hereditary, so the
+    later cells of any completion form an allowed drawing by themselves and
+    number at most ``cap[pos]``.  From the second row on, ``cap`` is exact:
+    it is solved last cell first by this same DFS on the suffix alone,
+    without rotation canonicalization and with ``cap[pos + 1]`` as the
+    incumbent, since one more cell adds at most one edge.  On the first row
+    it is ``cap[q] + (q - pos)``, because exact solves there cost more
+    nodes than they save.  An admissible bound never prunes the first
+    optimal leaf in DFS order, so the result does not depend on it.
 
     Rotation canonicalization: the 180 degree rotation maps cell t to cell
     N-1-t and preserves both constraints, so each drawing and its rotation
@@ -233,14 +277,14 @@ def _search_split(p: int, q: int, constraint: Constraint, start_best: int) -> tu
     else:
         include, start = _quasiplanar_include(constraint.h, cross)
     nodes = 0
-    best = start_best
     best_cells: list[Edge] | None = None
+    cap = [0] * (n_cells + 1)
 
     def rec(pos: int, m: int, chosen: int, state: _State, eq: bool) -> None:
         nonlocal nodes, best, best_cells
         nodes += 1
         blocked = state[0]
-        if m + (future[pos] & ~blocked).bit_count() <= best:
+        if m + cap[pos] <= best or m + (future[pos] & ~blocked).bit_count() <= best:
             return
         if pos == n_cells:
             best = m
@@ -261,8 +305,18 @@ def _search_split(p: int, q: int, constraint: Constraint, start_best: int) -> tu
         if cross[pos] and not force_include:
             rec(pos + 1, m, chosen, state, eq)
 
+    for pos in range(n_cells - 1, q - 1, -1):
+        best = cap[pos + 1]
+        cap[pos] = best + 1  # bounds the root of its own solve
+        rec(pos, 0, 0, start, False)
+        cap[pos] = best
+    for pos in range(q):
+        cap[pos] = cap[q] + q - pos
+    bound_nodes = nodes
+    best = start_best
+    best_cells = None
     rec(0, 0, 0, start, True)
-    return best, best_cells, nodes
+    return best, best_cells, SplitStats(p, q, nodes, bound_nodes), cap
 
 
 def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResult:
@@ -285,7 +339,7 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
 
     t0 = time.perf_counter()
     splits = [(p, n - p) for p in range(1, n // 2 + 1)]
-    total_nodes = 0
+    split_stats: list[SplitStats] = []
     best = 0
     best_split: tuple[int, int] | None = None
     best_cells: list[Edge] | None = None
@@ -305,8 +359,8 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
                 ps, qs = zip(*splits[n_seq:])
                 yield from pool.map(_search_split, ps, qs, repeat(constraint), repeat(best))
 
-        for split, (got, cells, nodes) in zip(splits, results()):
-            total_nodes += nodes
+        for split, (got, cells, stats, _) in zip(splits, results()):
+            split_stats.append(stats)
             if got > best:
                 best = got
                 best_split = split
@@ -315,7 +369,8 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
     assert best_split is not None and best_cells is not None
     witness = Drawing(best_split[0], best_split[1], frozenset(best_cells))
     millis = (time.perf_counter() - t0) * 1000.0
-    return SearchResult(best, witness, SearchStats(total_nodes, millis))
+    total_nodes = sum(s.nodes for s in split_stats)
+    return SearchResult(best, witness, SearchStats(total_nodes, millis, tuple(split_stats)))
 
 
 # ---------------------------------------------------------------------------

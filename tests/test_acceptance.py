@@ -11,6 +11,7 @@ import sys
 
 from layerlens import families as fam
 from layerlens import reproduce as rep
+from layerlens.core import Drawing
 
 
 def _report(criterion: str, rows: list[rep.CheckRow]) -> None:
@@ -40,6 +41,22 @@ def test_criterion_4_crossing_lemma_constants():
 
 def test_criterion_5_crossing_bound_inequalities():
     _report("5", rep.check_crossing_bounds())
+
+
+def test_special_s_window_scan():
+    # criterion 5's exceptional branch: the exceptional drawing embedded at
+    # every offset of a 6x7 grid is found, and every one-cell change inside
+    # its window is not
+    s_edges = fam.special_s().edges
+    assert rep._contains_special_s(fam.special_s())
+    for di in range(3):
+        for dx in range(4):
+            window = {(i + di, x + dx) for i in range(1, 5) for x in range(1, 5)}
+            embedded = {(i + di, x + dx) for i, x in s_edges}
+            assert rep._contains_special_s(Drawing(6, 7, frozenset(embedded))), (di, dx)
+            for cell in window:
+                near = frozenset(embedded ^ {cell})
+                assert not rep._contains_special_s(Drawing(6, 7, near)), (di, dx, cell)
 
 
 def test_criterion_6_pathwidth():

@@ -3,22 +3,28 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
 
 from layerlens.core import Drawing, is_h_quasiplanar, is_k_planar
 from layerlens.families import general_k_family, opt2planar, planar3_family, planar4_family
-from layerlens.oracles import is_caterpillar_forest
+from layerlens.oracles import brute_force_mutually_crossing, brute_force_profile, is_caterpillar_forest
 from layerlens.search import (
     BipartiteGraph,
+    Constraint,
     KPlanar,
     Quasiplanar,
     complete_bipartite,
+    _search_split,
     max_density,
     minimax_k,
     random_drawing,
 )
+
+# max_density results shared by the tests that pin the same cases
+_max_density = cache(max_density)
 
 
 class TestConstraints:
@@ -97,16 +103,19 @@ class TestMaxDensity:
     def test_parallel_splits_start_from_the_sequential_incumbent(self):
         # splits p = 1..3 run in order, then p = 4 and 5 in two processes,
         # both from the best of p <= 3
-        seq = max_density(11, KPlanar(8), threads=1)
-        par = max_density(11, KPlanar(8), threads=2)
-        assert par.stats.nodes == 147_356
+        seq = _max_density(11, KPlanar(8))
+        par = _max_density(11, KPlanar(8), threads=2)
+        assert par.stats.nodes == 93_915
         assert (par.best_m, par.witness) == (seq.best_m, seq.witness)
 
-    # Optimum, node count and witness cells ("ix" = top i, bottom x) of the
-    # search tree; any change to the DFS that walks a different tree or
-    # keeps a different first optimum shows here.
+    # Optimum, witness cells ("ix" = top i, bottom x) and the node count of
+    # the search tree before the suffix bound; any change to the DFS that
+    # keeps a different first optimum shows here.  The suffix bound only
+    # tightens an admissible bound, and the incumbent at each point of the
+    # DFS order is the best leaf before it either way, so outside the suffix
+    # solves it visits a subset of that tree.
     @pytest.mark.parametrize(
-        "n,constraint,best_m,nodes,cells",
+        "n,constraint,best_m,unbounded_nodes,cells",
         [
             (6, KPlanar(0), 5, 41, "11 12 13 14 15"),
             (6, KPlanar(2), 7, 45, "11 12 13 21 22 23 24"),
@@ -126,18 +135,107 @@ class TestMaxDensity:
             (10, Quasiplanar(2), 9, 1994, "11 12 13 14 15 16 17 18 19"),
             (10, Quasiplanar(3), 16, 10023, "11 12 13 14 15 16 17 18 21 22 23 24 25 26 27 28"),
             (10, Quasiplanar(4), 21, 2453, "11 12 13 14 15 16 17 21 22 23 24 25 26 27 31 32 33 34 35 36 37"),
+            (12, KPlanar(5), 22, 679_854, "11 12 13 14 21 22 23 24 25 32 33 34 35 36 37 44 45 46 47 55 56 57"),
+            (12, Quasiplanar(4), 27, 358_686, " ".join(f"{i}{x}" for i in range(1, 4) for x in range(1, 10))),
+            (13, KPlanar(5), 24, 2_978_649, "11 12 13 14 21 22 23 24 25 32 33 34 35 36 37 44 45 46 47 48 55 56 57 58"),
         ],
     )
-    def test_pinned_search_tree(self, n, constraint, best_m, nodes, cells):
-        r = max_density(n, constraint)
+    def test_pinned_search_tree(self, n, constraint, best_m, unbounded_nodes, cells):
+        r = _max_density(n, constraint)
         assert r.best_m == best_m
-        assert r.stats.nodes == nodes
+        assert r.stats.nodes - sum(s.bound_nodes for s in r.stats.splits) <= unbounded_nodes
         assert r.witness.sorted_edges() == [(int(c[0]), int(c[1])) for c in cells.split()]
+
+    # Exact node counts with the suffix bound: all nodes, and the part of
+    # them spent on suffix solves.
+    NODE_COUNTS = [
+        (6, KPlanar(0), 79, 50),
+        (6, KPlanar(2), 107, 62),
+        (6, KPlanar(5), 94, 62),
+        (6, Quasiplanar(2), 79, 50),
+        (6, Quasiplanar(3), 90, 62),
+        (6, Quasiplanar(4), 94, 62),
+        (8, KPlanar(0), 347, 221),
+        (8, KPlanar(2), 469, 302),
+        (8, KPlanar(5), 494, 302),
+        (8, Quasiplanar(2), 347, 221),
+        (8, Quasiplanar(3), 507, 308),
+        (8, Quasiplanar(4), 375, 308),
+        (10, KPlanar(0), 1697, 960),
+        (10, KPlanar(2), 2665, 1502),
+        (10, KPlanar(5), 12_348, 5255),
+        (10, Quasiplanar(2), 1697, 960),
+        (10, Quasiplanar(3), 6197, 2342),
+        (10, Quasiplanar(4), 2605, 1242),
+        (12, KPlanar(5), 130_997, 69_493),
+        (12, Quasiplanar(4), 184_344, 36_496),
+        (13, KPlanar(5), 452_113, 181_308),
+    ]
+
+    @pytest.mark.parametrize(
+        "n,constraint,nodes,bound_nodes", NODE_COUNTS, ids=[f"{n}-{c.label}" for n, c, *_ in NODE_COUNTS]
+    )
+    def test_pinned_node_counts(self, n, constraint, nodes, bound_nodes):
+        stats = _max_density(n, constraint).stats
+        assert (stats.nodes, sum(s.bound_nodes for s in stats.splits)) == (nodes, bound_nodes)
+
+    def test_split_stats(self):
+        r = _max_density(11, KPlanar(8))
+        assert [(s.p, s.q) for s in r.stats.splits] == [(p, 11 - p) for p in range(1, 6)]
+        assert r.stats.nodes == sum(s.nodes for s in r.stats.splits)
+        assert all(0 <= s.bound_nodes < s.nodes for s in r.stats.splits)
+        # the suffix solves do not depend on the incumbent, so each split
+        # spends the same bound nodes in a worker process
+        par = _max_density(11, KPlanar(8), threads=2)
+        assert [(s.p, s.q, s.bound_nodes) for s in par.stats.splits] == [
+            (s.p, s.q, s.bound_nodes) for s in r.stats.splits
+        ]
+        assert par.stats.nodes == sum(s.nodes for s in par.stats.splits)
 
     def test_stats_populated(self):
         r = max_density(6, KPlanar(2))
         assert r.stats.nodes > 0
         assert r.stats.millis >= 0
+
+
+def _brute_force_suffix_optima(p: int, q: int, constraints: list[Constraint]) -> dict[Constraint, list[int]]:
+    """For each constraint, the most cells of pos..N-1 (grid cells in
+    lexicographic order) that form an allowed drawing on their own, for
+    pos = 0..N, from every subset of the grid checked by the oracles."""
+    cells = [(i, x) for i in range(1, p + 1) for x in range(1, q + 1)]
+    n_cells = len(cells)
+    # by_low[c][t]: the largest allowed subset whose first cell is t
+    by_low = {c: [0] * (n_cells + 1) for c in constraints}
+    for mask in range(1, 1 << n_cells):
+        d = Drawing(p, q, frozenset(cells[t] for t in range(n_cells) if mask >> t & 1))
+        per_edge = brute_force_profile(d).max_per_edge
+        clique = brute_force_mutually_crossing(d)
+        low = (mask & -mask).bit_length() - 1
+        for c in constraints:
+            allowed = per_edge <= c.k if isinstance(c, KPlanar) else clique < c.h
+            if allowed and d.m > by_low[c][low]:
+                by_low[c][low] = d.m
+    optima = {}
+    for c in constraints:
+        suffix = [0] * (n_cells + 1)
+        for pos in range(n_cells - 1, -1, -1):
+            suffix[pos] = max(suffix[pos + 1], by_low[c][pos])
+        optima[c] = suffix
+    return optima
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 13) for q in range(1, 13) if p * q <= 12])
+def test_suffix_bound_table(p, q):
+    # cap[pos] is exact from the second row on and an upper bound on the
+    # first; the split's optimum is the whole grid's
+    constraints = [KPlanar(k) for k in range(4)] + [Quasiplanar(h) for h in (2, 3)]
+    optima = _brute_force_suffix_optima(p, q, constraints)
+    for c in constraints:
+        best, _, _, cap = _search_split(p, q, c, 0)
+        want = optima[c]
+        assert cap[q:] == want[q:], c
+        assert all(cap[pos] >= want[pos] for pos in range(q)), c
+        assert best == want[0], c
 
 
 class TestMinimax:
@@ -202,6 +300,22 @@ class TestBipartiteGraph:
             BipartiteGraph(2, 2, [(1, 3)])
         with pytest.raises(ValueError):
             BipartiteGraph(2, 2, [(1, 1), (1, 1)])
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+    def test_rejects_non_integer_part_sizes(self, value):
+        with pytest.raises(ValueError):
+            BipartiteGraph(value, 2)
+        with pytest.raises(ValueError):
+            BipartiteGraph(2, value)
+
+    @pytest.mark.parametrize(
+        "edge", [(True, 1), (1, 1.0), (1.5, 1), ("1", 1), (1, None), (1,), (1, 1, 1)]
+    )
+    def test_rejects_non_integer_edges(self, edge):
+        with pytest.raises(ValueError):
+            BipartiteGraph(2, 2, [edge])
+        with pytest.raises(ValueError):
+            BipartiteGraph(2, 2, frozenset([edge]))
 
     def test_complete(self):
         g = complete_bipartite(2, 4)
