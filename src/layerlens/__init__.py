@@ -34,7 +34,6 @@ from .families import (
     special_s,
 )
 from .search import (
-    BipartiteGraph,
     Constraint,
     KPlanar,
     Quasiplanar,

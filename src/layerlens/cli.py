@@ -32,15 +32,7 @@ from .core import (
     mutually_crossing_number,
 )
 from .decomposition import build_path_decomposition, decomposition_to_json, validate_decomposition
-from .search import (
-    MAX_DENSITY_N,
-    BipartiteGraph,
-    KPlanar,
-    Quasiplanar,
-    complete_bipartite,
-    max_density,
-    minimax_k,
-)
+from .search import MAX_DENSITY_N, KPlanar, Quasiplanar, complete_bipartite, max_density, minimax_k
 
 __all__ = ["main", "entry", "AnalysisReport", "analyze_drawing"]
 
@@ -248,10 +240,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     note = _formula_note(kind, param, args.n, result.best_m)
     print(f"n={args.n} {constraint.label}: best_m={result.best_m} ({note})")
     print(f"nodes={result.stats.nodes} millis={result.stats.millis:.1f} threads={threads}")
-    if threads == 1:
-        print("witness: first optimum in deterministic scan order")
-    else:
-        print("witness: any optimum (best_m itself is thread-count invariant)")
+    print("witness: first optimum in deterministic scan order")
     if args.witness:
         _write_or_print(json.dumps(drawing_to_json(result.witness), indent=2), args.witness)
     if args.csv:
@@ -265,16 +254,15 @@ def _cmd_minimax(args: argparse.Namespace) -> int:
         a, b = args.complete
         if a < 1 or b < 1:
             raise _UsageError("part sizes must be positive")
-        graph = complete_bipartite(a, b)
+        d = complete_bipartite(a, b)
         name = f"K_{{{a},{b}}}"
     elif args.drawing:
         d = _load(args.drawing)
-        graph = BipartiteGraph(d.p, d.q, d.edges)
         name = args.drawing
     else:
         raise _UsageError("provide a drawing file or --complete A B")
     try:
-        value = minimax_k(graph)
+        value = minimax_k(d)
     except ValueError as exc:
         raise _DataError(str(exc)) from exc
     print(f"minimax per-edge crossings of {name}: {value}")

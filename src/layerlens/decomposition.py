@@ -5,7 +5,7 @@ edge from its endpoints plus the "related" bottom vertices, those whose
 incidence interval strictly spans the edge's position and that touch an
 edge crossing it.  For a drawing with at most k crossings per edge this
 yields width at most k + 1.  A validator checks the four defining bag
-properties against any graph.
+properties against any drawing.
 
 Call a bottom vertex y *active* at position pos when its first and last
 positions in the order satisfy first[y] < pos < last[y].  Every active
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .core import Drawing, Edge
-from .search import BipartiteGraph
 
 Vertex = tuple[str, int]  # ("u", i) or ("v", x)
 
@@ -145,15 +144,6 @@ class DecompositionReport:
     violations: tuple[tuple[str, str], ...]
 
 
-def _vertices_and_edges(g: Drawing | BipartiteGraph) -> tuple[set[Vertex], set[Edge]]:
-    if isinstance(g, Drawing):
-        top, bottom = g.p, g.q
-    else:
-        top, bottom = g.u_count, g.v_count
-    verts = {("u", i) for i in range(1, top + 1)} | {("v", x) for x in range(1, bottom + 1)}
-    return verts, set(g.edges)
-
-
 def _runs_meet(a: list[list[int]], b: list[list[int]]) -> bool:
     """True iff two sorted lists of disjoint [start, end] runs overlap."""
     i = j = 0
@@ -168,10 +158,10 @@ def _runs_meet(a: list[list[int]], b: list[list[int]]) -> bool:
     return False
 
 
-def validate_decomposition(g: Drawing | BipartiteGraph, pd: PathDecomposition) -> DecompositionReport:
-    """Check the four bag properties of a path decomposition against g.
+def validate_decomposition(d: Drawing, pd: PathDecomposition) -> DecompositionReport:
+    """Check the four bag properties of a path decomposition against d.
 
-    P.1 bags contain only vertices of g; P.2 every vertex appears in some
+    P.1 bags contain only vertices of d; P.2 every vertex appears in some
     bag; P.3 every edge has both endpoints in a common bag; P.4 the bags
     containing a vertex are consecutive.  Violations are reported, not
     raised, each with the first witness: the first offending bag for P.1,
@@ -182,7 +172,7 @@ def validate_decomposition(g: Drawing | BipartiteGraph, pd: PathDecomposition) -
     between neighbouring bags.  P.1 is decided as vertices enter; P.2 to
     P.4 are read off the record.
     """
-    verts, edges = _vertices_and_edges(g)
+    verts = {("u", i) for i in range(1, d.p + 1)} | {("v", x) for x in range(1, d.q + 1)}
     violations: list[tuple[str, str]] = []
 
     runs: dict[Vertex, list[list[int]]] = {}
@@ -207,7 +197,7 @@ def validate_decomposition(g: Drawing | BipartiteGraph, pd: PathDecomposition) -
         who = min(missing)
         violations.append(("P.2", f"vertex {who[0]}{who[1]} appears in no bag"))
 
-    for i, x in sorted(edges):
+    for i, x in d.sorted_edges():
         if not _runs_meet(runs.get(("u", i), []), runs.get(("v", x), [])):
             violations.append(("P.3", f"edge (u{i}, v{x}) has no common bag"))
             break

@@ -12,7 +12,6 @@ independent.
 from __future__ import annotations
 
 from .core import CrossingProfile, Drawing, edges_cross
-from .search import BipartiteGraph
 
 __all__ = [
     "brute_force_profile",
@@ -99,12 +98,14 @@ def connected_components(p: int, q: int, edges) -> tuple[list[list[int]], list[l
     return comps, nbrs
 
 
-def is_caterpillar_forest(g: BipartiteGraph) -> bool:
-    """True iff every component is a tree whose non-leaf vertices induce a
-    path.  These are exactly the graphs drawable on two layers without any
-    crossing, which makes this an independent oracle for minimax_k == 0.
+def is_caterpillar_forest(d: Drawing) -> bool:
+    """True iff every component of the graph of ``d`` is a tree whose
+    non-leaf vertices induce a path; the order ``d`` is drawn in does not
+    matter.  These are exactly the graphs that some re-ordering of both
+    layers draws without any crossing, which makes this an independent
+    oracle for minimax_k == 0.
     """
-    comps, nbrs = connected_components(g.u_count, g.v_count, g.edges)
+    comps, nbrs = connected_components(d.p, d.q, d.edges)
     for comp in comps:
         comp_edges = sum(len(nbrs[v]) for v in comp) // 2
         if comp_edges != len(comp) - 1:

@@ -2,10 +2,10 @@
 
 Each ``check_*`` function covers one acceptance criterion and returns
 rows with expected versus actual values; ``run_all`` chains them.
-Criteria 2, 5 and 7 read one summary per family instance: ``run_all``
-builds and profiles each instance once and hands the summaries to all
-three, and a check called alone builds its own.  The random inputs come
-from fixed master seeds, so every run sees the same drawings.
+Criteria 2, 5 and 7 read one summary per family instance, which the
+caller passes in: ``run_all`` builds and profiles each instance once with
+``_family_summaries`` and hands the summaries to all three.  The random
+inputs come from fixed master seeds, so every run sees the same drawings.
 """
 
 from __future__ import annotations
@@ -87,6 +87,11 @@ def check_density_table(threads: int = 1) -> list[CheckRow]:
 
 _BAND_KS = (2, 8, 18, 32, 50)
 _FAMILY_MAX_SIZE = 50
+# seeded random drawings checked by criteria 5, 6, 7 and 8
+_BOUNDS_SAMPLES = 500
+_PATHWIDTH_SAMPLES = 500
+_RELATION_SAMPLES = 500
+_ORACLE_SAMPLES = 1000
 # every family instance of size <= 10 has at most 10*beta - 1 <= 99 edges,
 # so the pair-loop oracle covers all of them
 _BRUTE_MAX_M = 150
@@ -154,11 +159,9 @@ def _family_summaries() -> list[FamilySummary]:
     return out
 
 
-def check_families(summaries: list[FamilySummary] | None = None) -> list[CheckRow]:
+def check_families(summaries: list[FamilySummary]) -> list[CheckRow]:
     """Criterion 2: closed-form counts and advertised crossing caps for
     all sizes up to 50, with the brute-force profile on small sizes."""
-    if summaries is None:
-        summaries = _family_summaries()
     count_fail = cap_fail = quasi_fail = 0
     first_fail = ""
     for s in summaries:
@@ -234,12 +237,10 @@ def _linear_miss_special_s(d: Drawing, total: int, table: bnd.CoefficientTable) 
     return _contains_special_s(d) if Fraction(total) < linear else None
 
 
-def check_crossing_bounds(samples: int = 500, summaries: list[FamilySummary] | None = None) -> list[CheckRow]:
+def check_crossing_bounds(summaries: list[FamilySummary]) -> list[CheckRow]:
     """Criterion 5: above the density threshold, drawing crossings beat
     both lower bounds; linear-bound misses must contain the exceptional
     sub-drawing."""
-    if summaries is None:
-        summaries = _family_summaries()
     table = bnd.default_table()
     threshold = bnd.density_threshold(table)
     # (label, n, m, crossing total, linear-bound miss as _linear_miss_special_s)
@@ -247,7 +248,7 @@ def check_crossing_bounds(samples: int = 500, summaries: list[FamilySummary] | N
         (s.label, s.n, s.m, s.total, s.special_s) for s in summaries if Fraction(s.m) >= threshold * s.n
     ]
     rng = random.Random(_BOUNDS_SEED)
-    for idx in range(samples):
+    for idx in range(_BOUNDS_SAMPLES):
         p = rng.randint(6, 8)
         q = rng.randint(6, 8)
         n = p + q
@@ -289,7 +290,7 @@ def check_crossing_bounds(samples: int = 500, summaries: list[FamilySummary] | N
     return rows
 
 
-def check_pathwidth(samples: int = 500) -> list[CheckRow]:
+def check_pathwidth() -> list[CheckRow]:
     """Criterion 6: the constructed decomposition validates and the width
     stays within max-per-edge-crossings + 1."""
     t0 = time.perf_counter()
@@ -297,7 +298,7 @@ def check_pathwidth(samples: int = 500) -> list[CheckRow]:
     first = ""
     cases = [(label, d) for label, d, _ in _family_instances(10)]
     rng = random.Random(_PATHWIDTH_SEED)
-    for idx in range(samples):
+    for idx in range(_PATHWIDTH_SAMPLES):
         p = rng.randint(1, 8)
         q = rng.randint(1, 8)
         m = rng.randint(1, p * q)
@@ -322,17 +323,15 @@ def check_pathwidth(samples: int = 500) -> list[CheckRow]:
     ]
 
 
-def check_relationship(samples: int = 500, summaries: list[FamilySummary] | None = None) -> list[CheckRow]:
+def check_relationship(summaries: list[FamilySummary]) -> list[CheckRow]:
     """Criterion 7: a connected drawing with per-edge cap k has fewer than
     ceil(2k/3 + 2) pairwise crossing edges.  The cap is always the
     drawing's own profile maximum; family instances ride along."""
-    if summaries is None:
-        summaries = _family_summaries()
     # (label, per-edge maximum, mutually crossing number)
     cases = [(s.label, s.max_per_edge, s.mutually_crossing) for s in summaries if s.connected]
     rng = random.Random(_RELATION_SEED)
     produced = 0
-    while produced < samples:
+    while produced < _RELATION_SAMPLES:
         p = rng.randint(2, 8)
         q = rng.randint(2, 8)
         n = p + q
@@ -365,12 +364,12 @@ def check_relationship(samples: int = 500, summaries: list[FamilySummary] | None
     ]
 
 
-def check_oracle_equivalence(samples: int = 1000) -> list[CheckRow]:
+def check_oracle_equivalence() -> list[CheckRow]:
     """Criterion 8: the fast crossing profile and the subsequence-based
     mutually crossing number agree with the naive oracles."""
     rng = random.Random(_ORACLE_SEED)
     profile_bad = mcn_bad = 0
-    for _ in range(samples):
+    for _ in range(_ORACLE_SAMPLES):
         p = rng.randint(1, 8)
         q = rng.randint(1, 8)
         m = rng.randint(0, min(20, p * q))
@@ -384,14 +383,14 @@ def check_oracle_equivalence(samples: int = 1000) -> list[CheckRow]:
     return [
         CheckRow(
             "8",
-            f"crossing profile vs pair-loop oracle on {samples} drawings",
+            f"crossing profile vs pair-loop oracle on {_ORACLE_SAMPLES} drawings",
             "0 mismatches",
             f"{profile_bad} mismatches",
             profile_bad == 0,
         ),
         CheckRow(
             "8",
-            f"mutually crossing number vs clique oracle on {samples} drawings",
+            f"mutually crossing number vs clique oracle on {_ORACLE_SAMPLES} drawings",
             "0 mismatches",
             f"{mcn_bad} mismatches",
             mcn_bad == 0,
@@ -407,9 +406,9 @@ def run_all(threads: int = 1) -> list[CheckRow]:
     rows += check_families(summaries)
     rows += check_minimax()
     rows += check_constants()
-    rows += check_crossing_bounds(summaries=summaries)
+    rows += check_crossing_bounds(summaries)
     rows += check_pathwidth()
-    rows += check_relationship(summaries=summaries)
+    rows += check_relationship(summaries)
     rows += check_oracle_equivalence()
     return rows
 

@@ -23,9 +23,10 @@ bound over grid cells in lexicographic (top, bottom) order with
   cell whose pairwise crossing chain has at least j edges"
   (quasiplanar).
 
-``minimax_k`` minimizes the maximum per-edge crossing count of an
-abstract bipartite graph over all orderings of both layers; it is a
-factorial search and therefore holds for ten vertices at most.
+``minimax_k`` minimizes the maximum per-edge crossing count of a
+drawing over all re-orderings of both of its layers, so the order the
+drawing is given in does not matter; it is a factorial search and
+therefore holds for ten vertices at most.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "SearchStats",
     "SplitStats",
     "SearchResult",
-    "BipartiteGraph",
     "complete_bipartite",
     "max_density",
     "minimax_k",
@@ -119,43 +119,6 @@ class SearchResult:
     best_m: int
     witness: Drawing
     stats: SearchStats
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """An abstract (unordered) bipartite graph with labels 1..u_count and
-    1..v_count.  Drawing questions quantify over the layer orderings."""
-
-    u_count: int
-    v_count: int
-    edges: frozenset[Edge] = frozenset()
-
-    def __post_init__(self) -> None:
-        if not (_is_int(self.u_count) and _is_int(self.v_count)):
-            raise ValueError(f"part sizes must be integers, got {self.u_count!r} and {self.v_count!r}")
-        if self.u_count < 1 or self.v_count < 1:
-            raise ValueError("part sizes must be positive")
-        if not isinstance(self.edges, frozenset):
-            listed = [tuple(e) for e in self.edges]
-            frozen = frozenset(listed)
-            if len(frozen) != len(listed):
-                raise ValueError("duplicate edges are not allowed")
-            object.__setattr__(self, "edges", frozen)
-        for e in self.edges:
-            if len(e) != 2 or not (_is_int(e[0]) and _is_int(e[1])):
-                raise ValueError(f"edge {e!r} is not a pair of integers")
-            u, v = e
-            if not (1 <= u <= self.u_count and 1 <= v <= self.v_count):
-                raise ValueError(f"edge {(u, v)} outside the vertex ranges")
-
-    @property
-    def n(self) -> int:
-        return self.u_count + self.v_count
-
-
-def complete_bipartite(a: int, b: int) -> BipartiteGraph:
-    """K_{a,b}."""
-    return BipartiteGraph(a, b, frozenset((u, v) for u in range(1, a + 1) for v in range(1, b + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,19 +341,24 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
 # ---------------------------------------------------------------------------
 
 
-def minimax_k(g: BipartiteGraph) -> int:
-    """Minimum over all layer orderings of the maximum per-edge crossing
-    count of the resulting drawing.
+def complete_bipartite(a: int, b: int) -> Drawing:
+    """K_{a,b}, drawn with both layers in index order."""
+    return Drawing(a, b, frozenset(_grid_cells(a, b)))
+
+
+def minimax_k(d: Drawing) -> int:
+    """Minimum over all re-orderings of both layers of ``d`` of the maximum
+    per-edge crossing count; the order ``d`` is drawn in does not matter.
 
     Exhausts both permutation sets.  The 180 degree rotation (reversing
     both orders) preserves the objective, so only one representative of
     each (order, reversed order) pair is visited; a running best aborts
     partial counts early.
     """
-    p, q = g.u_count, g.v_count
+    p, q = d.p, d.q
     if p + q > MINIMAX_MAX_VERTICES:
         raise ValueError(f"minimax search is factorial; at most {MINIMAX_MAX_VERTICES} vertices supported")
-    edges = sorted(g.edges)
+    edges = d.sorted_edges()
     m = len(edges)
     if m <= 1:
         return 0

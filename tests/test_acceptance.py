@@ -9,9 +9,17 @@ from __future__ import annotations
 import subprocess
 import sys
 
+import pytest
+
 from layerlens import families as fam
 from layerlens import reproduce as rep
 from layerlens.core import Drawing
+
+
+@pytest.fixture(scope="module")
+def summaries() -> list[rep.FamilySummary]:
+    """The family summaries criteria 2, 5 and 7 share, built once."""
+    return rep._family_summaries()
 
 
 def _report(criterion: str, rows: list[rep.CheckRow]) -> None:
@@ -27,8 +35,8 @@ def test_criterion_1_density_table():
     _report("1", rep.check_density_table())
 
 
-def test_criterion_2_families():
-    _report("2", rep.check_families())
+def test_criterion_2_families(summaries):
+    _report("2", rep.check_families(summaries))
 
 
 def test_criterion_3_minimax_k24():
@@ -39,8 +47,8 @@ def test_criterion_4_crossing_lemma_constants():
     _report("4", rep.check_constants())
 
 
-def test_criterion_5_crossing_bound_inequalities():
-    _report("5", rep.check_crossing_bounds())
+def test_criterion_5_crossing_bound_inequalities(summaries):
+    _report("5", rep.check_crossing_bounds(summaries))
 
 
 def test_special_s_window_scan():
@@ -63,8 +71,8 @@ def test_criterion_6_pathwidth():
     _report("6", rep.check_pathwidth())
 
 
-def test_criterion_7_quasiplanarity_relationship():
-    _report("7", rep.check_relationship())
+def test_criterion_7_quasiplanarity_relationship(summaries):
+    _report("7", rep.check_relationship(summaries))
 
 
 def test_criterion_8_oracle_equivalence():
@@ -83,7 +91,7 @@ def test_run_all_builds_each_family_instance_once(monkeypatch):
     monkeypatch.setattr(fam, "generate", counting)
     # criteria 1 and 8 build no family instance; the tests above run them
     monkeypatch.setattr(rep, "check_density_table", lambda threads=1: [])
-    monkeypatch.setattr(rep, "check_oracle_equivalence", lambda samples=1000: [])
+    monkeypatch.setattr(rep, "check_oracle_equivalence", lambda: [])
     assert all(r.passed for r in rep.run_all())
     # one shared pass over the 482 instances up to size 50 for criteria 2, 5
     # and 7, and the 82 up to size 10 that criterion 6 decomposes

@@ -178,6 +178,15 @@ class TestSearchCommand:
         w = drawing_from_json(json.loads(wit.read_text()))
         assert w.m == 8
 
+    def test_witness_does_not_depend_on_threads(self, tmp_path, capsys):
+        witnesses = []
+        for threads in ("1", "2"):
+            wit = tmp_path / f"w{threads}.json"
+            assert main(["search", "--n", "10", "--k", "3", "--threads", threads, "--witness", str(wit)]) == 0
+            assert "witness: first optimum in deterministic scan order\n" in capsys.readouterr().out
+            witnesses.append(wit.read_bytes())
+        assert witnesses[0] == witnesses[1]
+
     def test_out_of_range_n_is_usage_error(self, capsys):
         assert main(["search", "--n", "40", "--k", "2"]) == 1
 

@@ -63,7 +63,7 @@ class TestDrawing:
         with pytest.raises(ValueError, match="integers"):
             Drawing(p, q, frozenset())
 
-    @pytest.mark.parametrize("edge", [(True, 1), (1, True), (1.0, 1), (1, "1")])
+    @pytest.mark.parametrize("edge", [(True, 1), (1, True), (1.0, 1), (1, "1"), (1.5, 1), (1, None), (1,)])
     def test_rejects_non_integer_edge_coordinates(self, edge):
         with pytest.raises(ValueError, match="integers"):
             Drawing(2, 2, [edge])

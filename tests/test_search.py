@@ -12,7 +12,6 @@ from layerlens.core import Drawing, is_h_quasiplanar, is_k_planar
 from layerlens.families import general_k_family, opt2planar, planar3_family, planar4_family
 from layerlens.oracles import brute_force_mutually_crossing, brute_force_profile, is_caterpillar_forest
 from layerlens.search import (
-    BipartiteGraph,
     Constraint,
     KPlanar,
     Quasiplanar,
@@ -246,8 +245,13 @@ class TestMinimax:
         assert minimax_k(complete_bipartite(2, 3)) == 2
 
     def test_path_is_crossing_free(self):
-        p4 = BipartiteGraph(2, 2, frozenset([(1, 1), (2, 1), (2, 2)]))
+        p4 = Drawing(2, 2, frozenset([(1, 1), (2, 1), (2, 2)]))
         assert minimax_k(p4) == 0
+
+    def test_complete(self):
+        d = complete_bipartite(2, 4)
+        assert isinstance(d, Drawing)
+        assert (d.n, d.m) == (6, 8)
 
     def test_k33(self):
         assert minimax_k(complete_bipartite(3, 3)) == 4
@@ -264,8 +268,8 @@ class TestMinimax:
                 cells = [(u, v) for u in range(1, a + 1) for v in range(1, b + 1)]
                 for r in range(len(cells) + 1):
                     for chosen in combinations(cells, r):
-                        g = BipartiteGraph(a, b, frozenset(chosen))
-                        assert (minimax_k(g) == 0) == is_caterpillar_forest(g), chosen
+                        d = Drawing(a, b, frozenset(chosen))
+                        assert (minimax_k(d) == 0) == is_caterpillar_forest(d), chosen
 
 
 class TestRandomDrawing:
@@ -290,37 +294,6 @@ class TestRandomDrawing:
     def test_rejects_overfull(self):
         with pytest.raises(ValueError):
             random_drawing(2, 2, 5, 0)
-
-
-class TestBipartiteGraph:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BipartiteGraph(0, 2)
-        with pytest.raises(ValueError):
-            BipartiteGraph(2, 2, [(1, 3)])
-        with pytest.raises(ValueError):
-            BipartiteGraph(2, 2, [(1, 1), (1, 1)])
-
-    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
-    def test_rejects_non_integer_part_sizes(self, value):
-        with pytest.raises(ValueError):
-            BipartiteGraph(value, 2)
-        with pytest.raises(ValueError):
-            BipartiteGraph(2, value)
-
-    @pytest.mark.parametrize(
-        "edge", [(True, 1), (1, 1.0), (1.5, 1), ("1", 1), (1, None), (1,), (1, 1, 1)]
-    )
-    def test_rejects_non_integer_edges(self, edge):
-        with pytest.raises(ValueError):
-            BipartiteGraph(2, 2, [edge])
-        with pytest.raises(ValueError):
-            BipartiteGraph(2, 2, frozenset([edge]))
-
-    def test_complete(self):
-        g = complete_bipartite(2, 4)
-        assert g.n == 6
-        assert len(g.edges) == 8
 
 
 def test_search_exhaustive_cross_check():
