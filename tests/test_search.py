@@ -248,11 +248,6 @@ class TestMinimax:
         p4 = Drawing(2, 2, frozenset([(1, 1), (2, 1), (2, 2)]))
         assert minimax_k(p4) == 0
 
-    def test_complete(self):
-        d = complete_bipartite(2, 4)
-        assert isinstance(d, Drawing)
-        assert (d.n, d.m) == (6, 8)
-
     def test_k33(self):
         assert minimax_k(complete_bipartite(3, 3)) == 4
 
@@ -294,6 +289,38 @@ class TestRandomDrawing:
     def test_rejects_overfull(self):
         with pytest.raises(ValueError):
             random_drawing(2, 2, 5, 0)
+
+
+class TestBipartiteGraph:
+    # A bipartite graph is a two-layer Drawing; its validation is Drawing's.
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            Drawing(0, 2)
+        with pytest.raises(ValueError):
+            Drawing(2, 2, [(1, 3)])
+        with pytest.raises(ValueError):
+            Drawing(2, 2, [(1, 1), (1, 1)])
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+    def test_rejects_non_integer_part_sizes(self, value):
+        with pytest.raises(ValueError):
+            Drawing(value, 2)
+        with pytest.raises(ValueError):
+            Drawing(2, value)
+
+    @pytest.mark.parametrize(
+        "edge", [(True, 1), (1, 1.0), (1.5, 1), ("1", 1), (1, None), (1,), (1, 1, 1)]
+    )
+    def test_rejects_non_integer_edges(self, edge):
+        with pytest.raises(ValueError):
+            Drawing(2, 2, [edge])
+        with pytest.raises(ValueError):
+            Drawing(2, 2, frozenset([edge]))
+
+    def test_complete(self):
+        d = complete_bipartite(2, 4)
+        assert isinstance(d, Drawing)
+        assert (d.n, d.m) == (6, 8)
 
 
 def test_search_exhaustive_cross_check():
