@@ -32,7 +32,15 @@ from .core import (
     mutually_crossing_number,
 )
 from .decomposition import build_path_decomposition, decomposition_to_json, validate_decomposition
-from .search import MAX_DENSITY_N, KPlanar, Quasiplanar, complete_bipartite, max_density, minimax_k
+from .search import (
+    MAX_DENSITY_N,
+    KPlanar,
+    Quasiplanar,
+    _check_minimax_size,
+    complete_bipartite,
+    max_density,
+    minimax_k,
+)
 
 __all__ = ["main", "entry", "AnalysisReport", "analyze_drawing"]
 
@@ -254,7 +262,6 @@ def _cmd_minimax(args: argparse.Namespace) -> int:
         a, b = args.complete
         if a < 1 or b < 1:
             raise _UsageError("part sizes must be positive")
-        d = complete_bipartite(a, b)
         name = f"K_{{{a},{b}}}"
     elif args.drawing:
         d = _load(args.drawing)
@@ -262,6 +269,9 @@ def _cmd_minimax(args: argparse.Namespace) -> int:
     else:
         raise _UsageError("provide a drawing file or --complete A B")
     try:
+        if args.complete:
+            _check_minimax_size(a, b)  # before building the a*b edges of K_{a,b}
+            d = complete_bipartite(a, b)
         value = minimax_k(d)
     except ValueError as exc:
         raise _DataError(str(exc)) from exc

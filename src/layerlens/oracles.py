@@ -3,13 +3,16 @@
 Deliberately naive: a quadratic pair loop for the crossing profile, an
 exponential clique search for the mutually crossing number, a
 breadth-first component search under a direct caterpillar-forest test,
-and path-decomposition bags straight from the definition of related
-vertices.  They share nothing with the optimized code beyond the drawing
-type and the one-line crossing predicate, so the two routes stay
+a scan of every pair of layer orders for the minimax per-edge crossing
+count, and path-decomposition bags straight from the definition of
+related vertices.  They share nothing with the optimized code beyond the
+drawing type and the one-line crossing predicate, so the two routes stay
 independent.
 """
 
 from __future__ import annotations
+
+from itertools import permutations
 
 from .core import CrossingProfile, Drawing, edges_cross
 
@@ -18,6 +21,7 @@ __all__ = [
     "brute_force_mutually_crossing",
     "connected_components",
     "is_caterpillar_forest",
+    "brute_force_minimax",
     "brute_force_bags",
 ]
 
@@ -115,6 +119,20 @@ def is_caterpillar_forest(d: Drawing) -> bool:
             if sum(1 for w in nbrs[v] if len(nbrs[w]) >= 2) > 2:
                 return False
     return True
+
+
+def brute_force_minimax(d: Drawing) -> int:
+    """Minimum over every pair of layer permutations of the maximum
+    per-edge crossing count of ``d`` relabelled by them, each profile
+    counted by ``brute_force_profile``.  Takes p! q! profiles; intended
+    for p + q up to ~8."""
+    return min(
+        brute_force_profile(
+            Drawing(d.p, d.q, frozenset((pu[u - 1], pv[v - 1]) for u, v in d.edges))
+        ).max_per_edge
+        for pu in permutations(range(1, d.p + 1))
+        for pv in permutations(range(1, d.q + 1))
+    )
 
 
 def brute_force_bags(d: Drawing) -> list[frozenset[tuple[str, int]]]:

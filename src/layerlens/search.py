@@ -25,8 +25,13 @@ bound over grid cells in lexicographic (top, bottom) order with
 
 ``minimax_k`` minimizes the maximum per-edge crossing count of a
 drawing over all re-orderings of both of its layers, so the order the
-drawing is given in does not matter; it is a factorial search and
-therefore holds for ten vertices at most.
+drawing is given in does not matter.  It scans the orders of the smaller
+layer and, for each, places the other layer left to right in a
+depth-first branch and bound: a placed vertex's edges have final
+crossing counts, and two arrays over the top positions keep the counts
+of the unplaced edges, so a placement costs O(p) and a branch is cut as
+soon as a final or partial count reaches the incumbent.  It is still
+exponential and holds for ten vertices at most.
 """
 
 from __future__ import annotations
@@ -346,62 +351,88 @@ def complete_bipartite(a: int, b: int) -> Drawing:
     return Drawing(a, b, frozenset(_grid_cells(a, b)))
 
 
+def _check_minimax_size(p: int, q: int) -> None:
+    if p + q > MINIMAX_MAX_VERTICES:
+        raise ValueError(f"minimax search is factorial; at most {MINIMAX_MAX_VERTICES} vertices supported")
+
+
 def minimax_k(d: Drawing) -> int:
     """Minimum over all re-orderings of both layers of ``d`` of the maximum
     per-edge crossing count; the order ``d`` is drawn in does not matter.
 
-    Exhausts both permutation sets.  The 180 degree rotation (reversing
-    both orders) preserves the objective, so only one representative of
-    each (order, reversed order) pair is visited; a running best aborts
-    partial counts early.
+    Isolated vertices cross nothing and are dropped, and the layers are
+    swapped if that makes the top one the smaller: swapping maps crossings
+    to crossings.  The outer loop scans the top orders, one of each (order,
+    reversed order) pair, since the 180 degree rotation reverses both
+    layers and preserves the objective.  For each top order a depth-first
+    branch and bound places the bottom vertices left to right.  Every
+    bottom vertex placed after v sits to its right, so once v is placed the
+    crossings of its edges are final: (u, v) crosses an edge (u', w) placed
+    earlier when u' is right of u, and one placed later when u' is left of
+    u.  Two arrays indexed by top position carry the state: ``rem[i]``
+    counts the unplaced edges at position i, and ``acc[i]`` the crossings
+    each of them already has with placed edges.  Counts only grow, so a
+    branch is cut, exactly, as soon as a final count, or an ``acc[i]`` with
+    ``rem[i] > 0``, reaches the best maximum found so far.  Placing a
+    vertex costs O(p).
     """
-    p, q = d.p, d.q
-    if p + q > MINIMAX_MAX_VERTICES:
-        raise ValueError(f"minimax search is factorial; at most {MINIMAX_MAX_VERTICES} vertices supported")
-    edges = d.sorted_edges()
-    m = len(edges)
-    if m <= 1:
-        return 0
-    us = [u - 1 for u, _ in edges]
-    vs = [v - 1 for _, v in edges]
-    best = m  # any drawing has at most m - 1 crossings per edge
+    _check_minimax_size(d.p, d.q)
+    if len({u for u, _ in d.edges}) > len({v for _, v in d.edges}):
+        d = d.transpose()
+    tops = sorted({u for u, _ in d.edges})
+    index = {u: i for i, u in enumerate(tops)}
+    neighbours: dict[int, list[int]] = {}
+    for u, v in d.edges:
+        neighbours.setdefault(v, []).append(index[u])
+    p = len(tops)
+    if p < 2:
+        return 0  # a star draws without crossings
+    degree = [len(nbrs) for nbrs in neighbours.values()]
+    cols: list[list[int]] = []  # per bottom vertex: 1 at the top positions of its edges
+    best = d.m  # no edge crosses more than m - 1 others
 
-    posu = [0] * p
-    posv = [0] * q
-    for pu in permutations(range(p)):
-        if p > 1 and pu > pu[::-1]:
-            continue
-        for idx, vert in enumerate(pu):
-            posu[vert] = idx
-        eu = [posu[u] for u in us]
-        for pv in permutations(range(q)):
-            if p == 1 and q > 1 and pv > pv[::-1]:
-                continue
-            for idx, vert in enumerate(pv):
-                posv[vert] = idx
-            ev = [posv[v] for v in vs]
-            counts = [0] * m
-            worst = 0
-            for a in range(m):
-                ia = eu[a]
-                xa = ev[a]
-                ca = counts[a]
-                for b in range(a + 1, m):
-                    if (ia - eu[b]) * (xa - ev[b]) < 0:
-                        ca += 1
-                        counts[b] += 1
-                        if counts[b] > worst:
-                            worst = counts[b]
-                counts[a] = ca
-                if ca > worst:
-                    worst = ca
-                if worst >= best:
+    def place(left: int, acc: list[int], rem: list[int], worst: int) -> None:
+        nonlocal best
+        todo = left
+        while todo and worst < best:  # a leaf found below may have brought best down to worst
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length() - 1
+            rest = [r - c for r, c in zip(rem, cols[v])]
+            grown = []
+            before = 0  # unplaced edges left of position i, v's own excluded
+            right = degree[v]  # v's edges right of position i
+            w = worst
+            for a, c, r in zip(acc, cols[v], rest):
+                if c:
+                    right -= 1
+                    if a + before >= best:
+                        break
+                    w = max(w, a + before)
+                a += right
+                if r and a >= best:
                     break
+                grown.append(a)
+                before += r
             else:
-                if worst < best:
-                    best = worst
-                    if best == 0:
-                        return 0
+                if left == low:
+                    best = w
+                else:
+                    place(left ^ low, grown, rest, w)
+
+    pos = [0] * p
+    for pu in permutations(range(p)):
+        if pu > pu[::-1]:
+            continue
+        for idx, u in enumerate(pu):
+            pos[u] = idx
+        cols.clear()
+        for nbrs in neighbours.values():
+            col = [0] * p
+            for u in nbrs:
+                col[pos[u]] = 1
+            cols.append(col)
+        place((1 << len(cols)) - 1, [0] * p, [sum(c) for c in zip(*cols)], 0)
     return best
 
 

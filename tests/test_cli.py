@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -212,6 +213,17 @@ class TestMinimaxCommand:
 
     def test_missing_input_is_usage_error(self, capsys):
         assert main(["minimax"]) == 1
+
+    def test_oversize_complete_rejected_before_building(self, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["minimax", "--complete", "100000", "100000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == "invalid input: minimax search is factorial; at most 10 vertices supported\n"
+        assert peak < 1_000_000
 
 
 class TestPathwidthCommand:

@@ -7,10 +7,17 @@ from functools import cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerlens.core import Drawing, is_h_quasiplanar, is_k_planar
 from layerlens.families import general_k_family, opt2planar, planar3_family, planar4_family
-from layerlens.oracles import brute_force_mutually_crossing, brute_force_profile, is_caterpillar_forest
+from layerlens.oracles import (
+    brute_force_minimax,
+    brute_force_mutually_crossing,
+    brute_force_profile,
+    is_caterpillar_forest,
+)
 from layerlens.search import (
     Constraint,
     KPlanar,
@@ -255,16 +262,51 @@ class TestMinimax:
         with pytest.raises(ValueError):
             minimax_k(complete_bipartite(5, 6))
 
+    @pytest.mark.parametrize("a,b,want", [(5, 5, 16), (4, 6, 15), (3, 7, 12), (2, 8, 7)])
+    def test_ten_vertex_complete(self, a, b, want):
+        assert minimax_k(complete_bipartite(a, b)) == want
+        assert minimax_k(complete_bipartite(b, a)) == want
+
     def test_zero_iff_caterpillar_forest(self):
         # independent characterization: crossing-free two-layer drawings
         # exist exactly for caterpillar forests
-        for a in range(1, 4):
-            for b in range(a, 7 - a):
-                cells = [(u, v) for u in range(1, a + 1) for v in range(1, b + 1)]
-                for r in range(len(cells) + 1):
-                    for chosen in combinations(cells, r):
-                        d = Drawing(a, b, frozenset(chosen))
-                        assert (minimax_k(d) == 0) == is_caterpillar_forest(d), chosen
+        for d in _small_drawings():
+            assert (minimax_k(d) == 0) == is_caterpillar_forest(d), d
+
+    def test_matches_brute_force_on_small_drawings(self):
+        for d in _small_drawings():
+            assert minimax_k(d) == brute_force_minimax(d), d
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_on_random_drawings(self, data):
+        p = data.draw(st.integers(1, 7))
+        q = data.draw(st.integers(1, 8 - p))
+        m = data.draw(st.integers(0, p * q))
+        d = random_drawing(p, q, m, data.draw(st.integers(0, 2**32 - 1)))
+        assert minimax_k(d) == brute_force_minimax(d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_invariant_under_relabelling_both_layers(self, data):
+        p = data.draw(st.integers(1, 9))
+        q = data.draw(st.integers(1, 10 - p))
+        m = data.draw(st.integers(0, p * q))
+        d = random_drawing(p, q, m, data.draw(st.integers(0, 2**32 - 1)))
+        pu = data.draw(st.permutations(range(1, p + 1)))
+        pv = data.draw(st.permutations(range(1, q + 1)))
+        relabelled = Drawing(p, q, frozenset((pu[u - 1], pv[v - 1]) for u, v in d.edges))
+        assert minimax_k(relabelled) == minimax_k(d)
+
+
+def _small_drawings():
+    """Every drawing on an a x b grid with a <= b and a + b <= 6."""
+    for a in range(1, 4):
+        for b in range(a, 7 - a):
+            cells = [(u, v) for u in range(1, a + 1) for v in range(1, b + 1)]
+            for r in range(len(cells) + 1):
+                for chosen in combinations(cells, r):
+                    yield Drawing(a, b, frozenset(chosen))
 
 
 class TestRandomDrawing:
