@@ -51,6 +51,7 @@ from .decomposition import (
     build_path_decomposition,
     decomposition_to_json,
     edge_order,
+    path_width,
     related_vertices,
     validate_decomposition,
 )

@@ -12,7 +12,6 @@ master seeds of the reproduction suite) is explicit, never ambient.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -25,13 +24,14 @@ from . import reproduce as rep
 from .core import (
     Drawing,
     Edge,
+    _write_json,
     brick_decomposition,
     crossing_profile,
     drawing_to_json,
     load_drawing,
     mutually_crossing_number,
 )
-from .decomposition import build_path_decomposition, decomposition_to_json, validate_decomposition
+from .decomposition import build_path_decomposition, decomposition_to_json, path_width, validate_decomposition
 from .search import (
     MAX_DENSITY_N,
     KPlanar,
@@ -92,7 +92,6 @@ def analyze_drawing(d: Drawing) -> AnalysisReport:
     prof = crossing_profile(d)
     mcn = mutually_crossing_number(d)
     bricks = brick_decomposition(d)
-    pd = build_path_decomposition(d)
     cubic = bnd.crossing_lower_bound(d.n, d.m)
     linear = max(Fraction(0), bnd.auxiliary_lower_bound(d.n, d.m))
     k = prof.max_per_edge
@@ -108,7 +107,7 @@ def analyze_drawing(d: Drawing) -> AnalysisReport:
         mutually_crossing=mcn,
         planar_edges=tuple(sorted(e for e, c in prof.per_edge.items() if c == 0)),
         brick_count=len(bricks.bricks),
-        pathwidth_width=max(pd.width, 0),
+        pathwidth_width=max(path_width(d), 0),
         cubic_bound=cubic,
         cubic_bound_holds=None if cubic is None else Fraction(prof.total) >= cubic,
         linear_bound_clamped=linear,
@@ -169,6 +168,12 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _dump_json(obj: object, out: str | None) -> None:
+    """Indented JSON to the file ``out``, without a final newline, or to
+    stdout with one when ``out`` is None or empty."""
+    _write_json(obj, out or None, "" if out else "\n")
+
+
 def _threads(args: argparse.Namespace) -> int:
     """``--threads`` when given, else ``LAYERLENS_THREADS``, else 1; either
     source must hold a positive integer."""
@@ -205,7 +210,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         drawing = fam.generate(spec)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    _write_or_print(json.dumps(drawing_to_json(drawing), indent=2), args.out)
+    _dump_json(drawing_to_json(drawing), args.out)
     return 0
 
 
@@ -213,7 +218,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     d = _load(args.drawing)
     r = analyze_drawing(d)
     if args.json:
-        print(json.dumps(_report_json(r), indent=2))
+        _dump_json(_report_json(r), None)
     else:
         print(_report_text(r))
     return 0
@@ -250,7 +255,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     print(f"nodes={result.stats.nodes} millis={result.stats.millis:.1f} threads={threads}")
     print("witness: first optimum in deterministic scan order")
     if args.witness:
-        _write_or_print(json.dumps(drawing_to_json(result.witness), indent=2), args.witness)
+        _dump_json(drawing_to_json(result.witness), args.witness)
     if args.csv:
         row = f"{args.n},{label},{result.best_m},{result.stats.nodes},{result.stats.millis:.1f}"
         _write_or_print("n,constraint,best_m,nodes,millis\n" + row + "\n", args.csv)
@@ -287,7 +292,7 @@ def _cmd_pathwidth(args: argparse.Namespace) -> int:
     for prop, witness in report.violations:
         print(f"violated {prop}: {witness}")
     if args.out:
-        _write_or_print(json.dumps(decomposition_to_json(pd), indent=2), args.out)
+        _dump_json(decomposition_to_json(pd), args.out)
     return 0
 
 

@@ -14,8 +14,12 @@ edges.
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_left
+from collections.abc import Callable, Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 
 Edge = tuple[int, int]
@@ -308,6 +312,78 @@ def load_drawing(path: str) -> Drawing:
 
 
 def save_drawing(d: Drawing, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(drawing_to_json(d), f, indent=2)
-        f.write("\n")
+    _write_json(drawing_to_json(d), path, "\n")
+
+
+# ---------------------------------------------------------------------------
+# Indented JSON output, byte for byte json.dumps(obj, indent=2)
+# ---------------------------------------------------------------------------
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@cache
+def _layout(level: int) -> tuple[Callable[[object], str], str, str]:
+    """For a value ``level`` deep: the ``encode`` of a C-accelerated
+    encoder whose item separator is the comma, newline and indentation of
+    the value's items, the newline and indentation of its items, and the
+    newline and indentation its closing bracket follows."""
+    inner = "\n" + "  " * (level + 1)
+    return json.JSONEncoder(separators=("," + inner, ": ")).encode, inner, inner[:-2]
+
+
+def _json_leaf(obj: object, level: int) -> str | None:
+    """The text of ``obj`` ``level`` deep as one chunk when it is a
+    scalar, an empty container or a list whose items all have a scalar
+    type (exactly str, int, float, bool or None); None otherwise."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if not _SCALARS.issuperset(map(type, obj)):
+            return None
+        encode, inner, outer = _layout(level)
+        return f"[{inner}{encode(obj)[1:-1]}{outer}]"
+    if isinstance(obj, dict):
+        return None if obj else "{}"
+    return _layout(level)[0](obj)
+
+
+def _json_chunks(obj: object, level: int = 0) -> Iterator[str]:
+    """The text of ``json.dumps(obj, indent=2)``, in chunks.
+
+    With an indent, json encodes in pure Python, a few generator steps per
+    value.  Here every list of scalars is one call to the C encoder, whose
+    item separator carries the indentation, and only the containers around
+    such lists are walked in Python.  Non-str dict keys are converted as
+    json converts them.
+    """
+    text = _json_leaf(obj, level)
+    if text is not None:
+        yield text
+        return
+    encode, inner, outer = _layout(level)
+    if isinstance(obj, dict):
+        items = ((encode(key if isinstance(key, str) else encode(key)) + ": ", value) for key, value in obj.items())
+        close = "}"
+        sep = "{" + inner
+    else:
+        items = (("", item) for item in obj)
+        close = "]"
+        sep = "[" + inner
+    for prefix, value in items:
+        text = _json_leaf(value, level + 1)
+        if text is None:
+            yield sep + prefix
+            yield from _json_chunks(value, level + 1)
+        else:
+            yield sep + prefix + text
+        sep = "," + inner
+    yield outer + close
+
+
+def _write_json(obj: object, path: str | None, end: str) -> None:
+    """Write ``json.dumps(obj, indent=2) + end`` to the file at ``path``,
+    or to stdout when ``path`` is None."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as f:
+        f.writelines(_json_chunks(obj))
+        f.write(end)

@@ -15,7 +15,9 @@ e; if y < t, the last edge of y has a top index above s and crosses e.
 So the bag of e is exactly {u_s, v_t} plus the active vertices, and one
 sweep that opens each vertex after its first position and closes it at
 its last builds all bags in O(m log m + sum of bag sizes), without
-testing edge pairs.
+testing edge pairs.  The largest bag is known from the sizes of the
+active sets alone, so ``path_width`` gives the width in O(m log m) time
+and O(m) memory without building a bag.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "DecompositionReport",
     "edge_order",
     "related_vertices",
+    "path_width",
     "build_path_decomposition",
     "validate_decomposition",
     "decomposition_to_json",
@@ -45,7 +48,7 @@ def edge_order(d: Drawing) -> list[Edge]:
     return d.sorted_edges()
 
 
-def _sweep(order: list[Edge], tags: list[Vertex]) -> Iterator[tuple[int, int, dict[int, Vertex]]]:
+def _sweep(order: list[Edge], tags: dict[int, Vertex]) -> Iterator[tuple[int, int, dict[int, Vertex]]]:
     """Yield (s, t, active) for each edge (s, t) of the order, where
     ``active`` maps each bottom vertex active at that position to its tag
     ``tags[y]``.  The mapping is updated in place, so read it before
@@ -64,9 +67,10 @@ def _sweep(order: list[Edge], tags: list[Vertex]) -> Iterator[tuple[int, int, di
             active[t] = tags[t]
 
 
-def _tags(layer: str, size: int) -> list[Vertex]:
-    """One shared (layer, idx) tuple per vertex, indexed by idx."""
-    return [(layer, idx) for idx in range(size + 1)]
+def _tags(layer: str, order: list[Edge]) -> dict[int, Vertex]:
+    """One shared (layer, idx) tuple per vertex at the second end of an
+    edge of the order, keyed by idx; vertices without edges get none."""
+    return {idx: (layer, idx) for _, idx in order}
 
 
 def related_vertices(d: Drawing, pos: int) -> set[int]:
@@ -79,7 +83,7 @@ def related_vertices(d: Drawing, pos: int) -> set[int]:
     order = edge_order(d)
     if not 1 <= pos <= len(order):
         raise ValueError(f"position {pos} out of range 1..{len(order)}")
-    _, t, active = next(islice(_sweep(order, _tags("v", d.q)), pos - 1, None))
+    _, t, active = next(islice(_sweep(order, _tags("v", order)), pos - 1, None))
     return active.keys() - {t}
 
 
@@ -101,8 +105,30 @@ class PathDecomposition:
         return max((len(b) for b in self.bags), default=0) - 1
 
 
-def _largest_bag(order: list[Edge], tags: list[Vertex]) -> int:
+def _largest_bag(order: list[Edge], tags: dict[int, Vertex]) -> int:
     return max(len(active) + 2 - (t in active) for _, t, active in _sweep(order, tags))
+
+
+def _orientations(d: Drawing) -> tuple[list[Edge], list[Edge], dict[int, Vertex], dict[int, Vertex]]:
+    """The edge orders of the top and the bottom orientation, and the tags
+    of the vertices with edges on the top and on the bottom layer."""
+    top = edge_order(d)
+    bottom = sorted((x, i) for i, x in d.edges)
+    return top, bottom, _tags("u", bottom), _tags("v", top)
+
+
+def path_width(d: Drawing) -> int:
+    """``build_path_decomposition(d).width`` without building a bag.
+
+    Both orientations are swept and the smaller largest bag is kept, as
+    the builder does; isolated vertices only add singleton bags, which
+    never decide the width.  Time O(m log m) and memory O(m), whatever the
+    layer sizes.  An edgeless drawing has width -1.
+    """
+    if d.m == 0:
+        return -1
+    top, bottom, u, v = _orientations(d)
+    return min(_largest_bag(top, v), _largest_bag(bottom, u)) - 1
 
 
 def build_path_decomposition(d: Drawing) -> PathDecomposition:
@@ -118,19 +144,14 @@ def build_path_decomposition(d: Drawing) -> PathDecomposition:
     """
     if d.m == 0:
         return PathDecomposition(())
-    u, v = _tags("u", d.p), _tags("v", d.q)
-    top = edge_order(d)
-    bottom = sorted((x, i) for i, x in d.edges)
+    top, bottom, u, v = _orientations(d)
     if _largest_bag(bottom, u) < _largest_bag(top, v):
         order, primary, secondary, orientation = bottom, v, u, "bottom"
     else:
         order, primary, secondary, orientation = top, u, v, "top"
     bags = [frozenset((primary[s], secondary[t], *active.values())) for s, t, active in _sweep(order, secondary)]
-
-    used_u = {i for i, _ in d.edges}
-    used_v = {x for _, x in d.edges}
-    bags += [frozenset({u[i]}) for i in range(1, d.p + 1) if i not in used_u]
-    bags += [frozenset({v[x]}) for x in range(1, d.q + 1) if x not in used_v]
+    bags += [frozenset({("u", i)}) for i in range(1, d.p + 1) if i not in u]
+    bags += [frozenset({("v", x)}) for x in range(1, d.q + 1) if x not in v]
     return PathDecomposition(tuple(bags), orientation)
 
 

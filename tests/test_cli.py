@@ -9,9 +9,11 @@ import tracemalloc
 import pytest
 
 from layerlens.cli import analyze_drawing, main
-from layerlens.core import Drawing, drawing_from_json, drawing_to_json
+from layerlens.core import Drawing, drawing_from_json, drawing_to_json, save_drawing
+from layerlens.decomposition import build_path_decomposition, decomposition_to_json
 from layerlens.export import to_csv, to_dot, to_svg
-from layerlens.families import opt2planar, planar4_family, special_s
+from layerlens.families import opt2planar, planar4_family, planar6_family, special_s
+from layerlens.search import KPlanar, max_density
 
 
 @pytest.fixture
@@ -34,6 +36,15 @@ class TestGen:
         assert main(["gen", "--family", "planar4", "--size", "2"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert drawing_from_json(data) == planar4_family(2)
+
+    def test_json_bytes(self, tmp_path, capsys):
+        # the file ends without a newline, stdout with one
+        text = json.dumps(drawing_to_json(planar4_family(3)), indent=2)
+        out = tmp_path / "g.json"
+        assert main(["gen", "--family", "planar4", "--size", "3", "--out", str(out)]) == 0
+        assert out.read_bytes() == text.encode()
+        assert main(["gen", "--family", "planar4", "--size", "3"]) == 0
+        assert capsys.readouterr().out == text + "\n"
 
     def test_gen_bad_family_is_usage_error(self, capsys):
         assert main(["gen", "--family", "nosuch"]) == 1
@@ -149,6 +160,19 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--json"]) == 0
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
+    def test_memory_follows_edges_not_layer_size(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text('{"p": 2, "q": 1000000, "edges": [[1, 1], [2, 2]]}')
+        tracemalloc.start()
+        try:
+            code = main(["analyze", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "path decomposition width: 1\n" in capsys.readouterr().out
+        assert peak < 1_000_000
+
     def test_report_fields_match_library(self):
         r = analyze_drawing(special_s())
         assert (r.p, r.q, r.n, r.m) == (4, 4, 8, 14)
@@ -178,6 +202,12 @@ class TestSearchCommand:
         assert lines[1].startswith("6,h=3,8,")
         w = drawing_from_json(json.loads(wit.read_text()))
         assert w.m == 8
+
+    def test_witness_json_bytes(self, tmp_path, capsys):
+        wit = tmp_path / "w.json"
+        assert main(["search", "--n", "8", "--k", "2", "--witness", str(wit)]) == 0
+        witness = max_density(8, KPlanar(2)).witness
+        assert wit.read_bytes() == json.dumps(drawing_to_json(witness), indent=2).encode()
 
     def test_witness_does_not_depend_on_threads(self, tmp_path, capsys):
         witnesses = []
@@ -234,6 +264,18 @@ class TestPathwidthCommand:
         data = json.loads(out.read_text())
         assert set(data) == {"bags", "width"}
         assert all(re.fullmatch(r"[uv]\d+", v) for bag in data["bags"] for v in bag)
+
+    @pytest.mark.parametrize(
+        "drawing",
+        [planar6_family(3), Drawing(3, 4, frozenset({(1, 2), (3, 1)})), Drawing(2, 2)],
+        ids=["planar6", "isolated-vertices", "no-edges"],
+    )
+    def test_out_json_bytes(self, tmp_path, capsys, drawing):
+        src, out = tmp_path / "d.json", tmp_path / "pd.json"
+        src.write_text(json.dumps(drawing_to_json(drawing)))
+        assert main(["pathwidth", str(src), "--out", str(out)]) == 0
+        expected = json.dumps(decomposition_to_json(build_path_decomposition(drawing)), indent=2)
+        assert out.read_bytes() == expected.encode()
 
 
 class TestBoundsCommands:
@@ -301,6 +343,14 @@ class TestExport:
         out = tmp_path / "d.svg"
         assert main(["export", k23_file, "--format", "svg", "--out", str(out)]) == 0
         assert out.read_text().startswith("<svg")
+
+
+def test_save_drawing_json_bytes(tmp_path):
+    # unlike the CLI's output files, a saved drawing ends with a newline
+    for d in (special_s(), Drawing(2, 3)):
+        path = tmp_path / "d.json"
+        save_drawing(d, str(path))
+        assert path.read_bytes() == (json.dumps(drawing_to_json(d), indent=2) + "\n").encode()
 
 
 def test_json_round_trip_property():

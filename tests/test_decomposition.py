@@ -14,6 +14,7 @@ from layerlens.decomposition import (
     build_path_decomposition,
     decomposition_to_json,
     edge_order,
+    path_width,
     related_vertices,
     validate_decomposition,
 )
@@ -181,6 +182,14 @@ class TestAgainstOracle:
         for dd in (d, d.transpose()):
             pd = build_path_decomposition(dd)
             assert (pd.bags, pd.orientation) == oracle_decomposition(dd)
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawings())
+    @example(Drawing(3, 4, frozenset()))
+    @example(Drawing(4, 5, frozenset([(2, 3), (3, 1), (3, 4)])))
+    def test_path_width_is_built_width(self, d):
+        for dd in (d, d.transpose()):
+            assert path_width(dd) == build_path_decomposition(dd).width
 
     @settings(max_examples=200, deadline=None)
     @given(drawings())

@@ -1,0 +1,75 @@
+"""Indented JSON output: the shared writer's text is ``json.dumps(obj,
+indent=2)``, byte for byte, for the library's JSON forms and for any JSON
+value."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from layerlens.cli import _report_json, analyze_drawing
+from layerlens.core import Drawing, _json_chunks, drawing_to_json
+from layerlens.decomposition import build_path_decomposition, decomposition_to_json
+from layerlens.families import special_s
+
+
+def _text(obj: object) -> str:
+    return "".join(_json_chunks(obj))
+
+
+@st.composite
+def drawings(draw):
+    p = draw(st.integers(1, 8))
+    q = draw(st.integers(1, 8))
+    cells = [(i, x) for i in range(1, p + 1) for x in range(1, q + 1)]
+    return Drawing(p, q, frozenset(draw(st.sets(st.sampled_from(cells)))))
+
+
+@given(drawings())
+@example(Drawing(3, 2))  # no edges: {"bags": [], "width": -1}
+@example(Drawing(4, 5, frozenset({(2, 3)})))  # singleton bags of isolated vertices
+@example(special_s())  # a cubic bound of None, Fraction strings
+def test_library_json_forms(d):
+    forms = (drawing_to_json(d), decomposition_to_json(build_path_decomposition(d)), _report_json(analyze_drawing(d)))
+    for obj in forms:
+        assert _text(obj) == json.dumps(obj, indent=2)
+
+
+_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_keys = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_values = st.recursive(
+    _scalars,
+    lambda kids: st.lists(kids) | st.tuples(kids, kids) | st.dictionaries(_keys, kids),
+    max_leaves=40,
+)
+
+
+@given(_values)
+def test_any_json_value(obj):
+    assert _text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        [[], [1]],
+        [1, [2]],
+        [[1, 2], {}, [3]],
+        (1, (2, 3)),
+        ((),),
+        {"a": {"b": ()}},
+        ["hé", "☃", "\U0001f600", "tab\t", 'q"uote', "back\\slash", "\x00\x1f", "\ud800"],
+        {"é\n": [None, True, False, 1.5, -0.0, float("inf"), float("nan")]},
+        {1: 2, None: 3, True: [False], 2.5: {}},
+        "plain",
+        7,
+        None,
+    ],
+)
+def test_hand_made(obj):
+    assert _text(obj) == json.dumps(obj, indent=2)

@@ -204,11 +204,14 @@ class TestMaxDensity:
         assert r.stats.millis >= 0
 
 
-def _brute_force_suffix_optima(p: int, q: int, constraints: list[Constraint]) -> dict[Constraint, list[int]]:
+def _brute_force_suffix_optima(
+    p: int, q: int, constraints: list[Constraint], start: int = 0
+) -> dict[Constraint, list[int]]:
     """For each constraint, the most cells of pos..N-1 (grid cells in
     lexicographic order) that form an allowed drawing on their own, for
-    pos = 0..N, from every subset of the grid checked by the oracles."""
-    cells = [(i, x) for i in range(1, p + 1) for x in range(1, q + 1)]
+    pos = start..N, indexed by pos - start, from every subset of the cells
+    start..N-1 checked by the oracles."""
+    cells = [(i, x) for i in range(1, p + 1) for x in range(1, q + 1)][start:]
     n_cells = len(cells)
     # by_low[c][t]: the largest allowed subset whose first cell is t
     by_low = {c: [0] * (n_cells + 1) for c in constraints}
@@ -242,6 +245,19 @@ def test_suffix_bound_table(p, q):
         assert cap[q:] == want[q:], c
         assert all(cap[pos] >= want[pos] for pos in range(q)), c
         assert best == want[0], c
+
+
+@pytest.mark.parametrize("p,q,start", [(5, 3, 3), (5, 4, 8), (7, 3, 9)])
+def test_suffix_bound_table_beyond_twelve_cells(p, q, start):
+    # on these grids, solving a suffix with rotation canonicalization, as
+    # if it were a whole grid, falls short of its optimum for some k: the
+    # suffix has no rotation symmetry.  Twelve-cell suffixes from `start`
+    # on are checked against every subset of their cells.
+    constraints = [KPlanar(k) for k in range(4)] + [Quasiplanar(h) for h in (2, 3)]
+    optima = _brute_force_suffix_optima(p, q, constraints, start)
+    for c in constraints:
+        cap = _search_split(p, q, c, 0)[3]
+        assert cap[start:] == optima[c], c
 
 
 class TestMinimax:
