@@ -238,12 +238,14 @@ def table_to_json(table: CoefficientTable) -> dict:
 
 
 def table_from_json(data: dict) -> CoefficientTable:
-    if not isinstance(data, dict) or "alpha" not in data or "beta" not in data:
+    if not isinstance(data, dict) or not all(isinstance(data.get(key), list) for key in ("alpha", "beta")):
         raise ValueError("table JSON must contain alpha and beta lists")
+    if any(isinstance(v, bool) for v in data["alpha"] + data["beta"]):
+        raise ValueError("bad rational in table: true and false are not rationals")
     try:
         alpha = tuple(Fraction(a) for a in data["alpha"])
         beta = tuple(Fraction(b) for b in data["beta"])
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad rational in table: {exc}") from exc
     if "t" in data and data["t"] != len(alpha):
         raise ValueError("declared t does not match the alpha row count")

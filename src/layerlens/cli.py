@@ -37,6 +37,7 @@ from .search import (
     KPlanar,
     Quasiplanar,
     _check_minimax_size,
+    _quasiplanar_optimum,
     complete_bipartite,
     max_density,
     minimax_k,
@@ -227,8 +228,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _formula_note(kind: str, param: int, n: int, best: int) -> str:
     if kind == "k" and param <= 5:
         formula = bnd.small_k_density_bound(param, n)
-    elif kind == "h" and param == 3 and n >= 3:
-        formula = Fraction(2 * n - 4)
+    elif kind == "h":
+        p, q = _quasiplanar_optimum(n, param)
+        formula = Fraction(p * q)
     else:
         return "no closed-form bound at this size"
     cap = formula.numerator // formula.denominator  # floor

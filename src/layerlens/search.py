@@ -5,10 +5,15 @@ subset of the p x q grid, how many edges can a drawing have under a
 k-planarity or h-quasiplanarity cap?  It is a depth-first branch and
 bound over grid cells in lexicographic (row, column) order with
 
-* an orientation rule: the rows are the top layer of a k-planar split and
-  the larger layer of a quasiplanar one, whose transposed grid is searched
-  and mapped back; transposing preserves crossings, and each constraint
-  visits fewer nodes in its orientation,
+* a closed form in place of the search for quasiplanarity (Greene, Adv.
+  Math. 1974; Greene and Kleitman, JCTA 1976): the most edges with no h
+  pairwise crossing is (h - 1)(n - h + 1) when 2(h - 1) <= n and
+  floor(n/2) * ceil(n/2) otherwise, on the complete grid with
+  p = min(h - 1, floor(n/2)) rows.  The cells of one anti-diagonal
+  pairwise cross, so each of the p + q - 1 holds at most h - 1 chosen
+  cells, (h - 1)(p + q - h + 1) in all for h - 1 <= p <= q; edges sharing
+  an endpoint do not cross, so the complete grid with h - 1 rows attains
+  it,
 * symmetry reduction: only splits with p <= q (layer swap), plus a
   partial canonicalization under 180 degree rotation of the grid,
 * an admissible bound: the current edge count plus the smaller of the
@@ -20,12 +25,13 @@ bound over grid cells in lexicographic (row, column) order with
   cell first by the same DFS, each with the next one as its incumbent,
 * per-split statistics: ``SearchStats.splits`` holds the nodes of every
   split and the part of them spent on the suffix optima,
-* one DFS for both constraints: including a cell returns a new state
-  whose blocked-cell bitmask marks the cells that can no longer be
-  added, so the bound is one popcount.  The state is bit-sliced masks,
-  "crossed by at least j chosen cells" (k-planar) or "crosses a chosen
-  cell whose pairwise crossing chain has at least j edges"
-  (quasiplanar).
+* one DFS for both constraints, the quasiplanar one kept as the second
+  route the tests check the closed form against: including a cell
+  returns a new state whose blocked-cell bitmask marks the cells that can
+  no longer be added, so the bound is one popcount.  The state is
+  bit-sliced masks, "crossed by at least j chosen cells" (k-planar) or
+  "crosses a chosen cell whose pairwise crossing chain has at least j
+  edges" (quasiplanar).
 
 ``minimax_k`` minimizes the maximum per-edge crossing count of a
 drawing over all re-orderings of both of its layers, so the order the
@@ -291,45 +297,29 @@ def _search_split(
     return best, best_cells, SplitStats(p, q, nodes, bound_nodes), cap
 
 
-def _search_oriented(
-    p: int, q: int, constraint: Constraint, start_best: int
-) -> tuple[int, list[Edge] | None, SplitStats]:
-    """``_search_split`` on the split p + q = n in the orientation its
-    constraint kind is searched in; returns (best, cells in the p x q
-    frame or None, stats of the p x q split).
-
-    A k-planar split is searched row-major on the p x q grid, one row per
-    top vertex.  A quasiplanar split is searched on the transposed q x p
-    grid, one row per vertex of the larger layer, and its cells are mapped
-    back with (i, x) -> (x, i): transposing preserves crossings, so the
-    optimum is the same, and the quasiplanar tree is then smaller (n = 12,
-    h = 4 visits 88,246 nodes against 184,344), while the k-planar one
-    grows (n = 12, k = 5: 207,972 against 130,997).
-    """
-    if isinstance(constraint, KPlanar):
-        return _search_split(p, q, constraint, start_best)[:3]
-    best, cells, stats, _ = _search_split(q, p, constraint, start_best)
-    if cells is not None:
-        cells = [(i, x) for x, i in cells]
-    return best, cells, SplitStats(p, q, stats.nodes, stats.bound_nodes)
+def _quasiplanar_optimum(n: int, h: int) -> tuple[int, int]:
+    """The split (p, q), p <= q, whose complete grid is the densest n-vertex
+    drawing with no h pairwise crossing edges (see the module docstring)."""
+    p = min(h - 1, n // 2)
+    return p, n - p
 
 
 def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResult:
     """Exact maximum edge count of an n-vertex two-layer drawing under the
     given constraint, with a witness drawing attaining it.
 
-    Splits with p <= q are searched in increasing p; the running best is
-    carried across splits as the incumbent.  A k-planar split is searched
-    on its p x q grid, one row per top vertex; a quasiplanar split on the
-    transposed q x p grid, one row per vertex of the larger layer, with the
-    witness cells mapped back.  With threads > 1 all but the last
-    min(threads, splits) splits still run that way, and the last ones run
-    in separate processes, each from the incumbent the sequential splits
-    reached.  ``best_m`` and the witness do not depend on the thread count:
-    a split searched from an incumbent below its optimum ends on the first
-    optimal leaf in DFS order of its searched orientation, whatever the
-    incumbent, and the witness is taken from the smallest p attaining the
-    optimum.
+    A quasiplanar constraint is answered in closed form by the complete
+    grid of ``_quasiplanar_optimum``, with ``nodes == 0`` and no
+    ``splits``.  A k-planar one searches the splits with p <= q in
+    increasing p, each on its p x q grid, one row per top vertex; the
+    running best is carried across splits as the incumbent.  With
+    threads > 1 all but the last min(threads, splits) splits still run that
+    way, and the last ones run in separate processes, each from the
+    incumbent the sequential splits reached.  ``best_m`` and the witness do
+    not depend on the thread count: a split searched from an incumbent
+    below its optimum ends on the first optimal leaf in DFS order, whatever
+    the incumbent, and the witness is taken from the smallest p attaining
+    the optimum.
     """
     if not 2 <= n <= MAX_DENSITY_N:
         raise ValueError(f"n must be between 2 and {MAX_DENSITY_N} (practical search range)")
@@ -337,6 +327,10 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
         raise ValueError("threads must be positive")
 
     t0 = time.perf_counter()
+    if isinstance(constraint, Quasiplanar):
+        p, q = _quasiplanar_optimum(n, constraint.h)
+        witness = Drawing(p, q, frozenset(_grid_cells(p, q)))
+        return SearchResult(p * q, witness, SearchStats(0, (time.perf_counter() - t0) * 1000.0))
     splits = [(p, n - p) for p in range(1, n // 2 + 1)]
     split_stats: list[SplitStats] = []
     best = 0
@@ -352,13 +346,13 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
             # lazy, so each split starts from the best of the splits before
             # it, and the parallel ones from the best of the sequential ones
             for p, q in splits[:n_seq]:
-                yield _search_oriented(p, q, constraint, best)
+                yield _search_split(p, q, constraint, best)
             if n_seq < len(splits):
                 pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
                 ps, qs = zip(*splits[n_seq:])
-                yield from pool.map(_search_oriented, ps, qs, repeat(constraint), repeat(best))
+                yield from pool.map(_search_split, ps, qs, repeat(constraint), repeat(best))
 
-        for split, (got, cells, stats) in zip(splits, results()):
+        for split, (got, cells, stats, _) in zip(splits, results()):
             split_stats.append(stats)
             if got > best:
                 best = got

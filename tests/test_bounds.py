@@ -160,3 +160,22 @@ class TestTableJson:
             table_from_json({"alpha": ["x"], "beta": ["1"]})
         with pytest.raises(ValueError):
             table_from_json({"t": 3, "alpha": ["1"], "beta": ["1"]})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"alpha": 5, "beta": [1]},
+            {"alpha": [[1]], "beta": [1]},
+            {"alpha": [None], "beta": [1]},
+            {"alpha": [float("inf")], "beta": [1]},
+            {"alpha": "123", "beta": "000"},
+            {"alpha": [True, 2], "beta": [0, 1]},
+        ],
+    )
+    def test_rejects_malformed_rows(self, data):
+        with pytest.raises(ValueError):
+            table_from_json(data)
+
+    def test_accepts_finite_numbers(self):
+        t = table_from_json({"alpha": [1, 1.5], "beta": [0, 2]})
+        assert (t.alpha, t.beta) == ((Fraction(1), Fraction(3, 2)), (Fraction(0), Fraction(2)))

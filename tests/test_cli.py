@@ -203,6 +203,11 @@ class TestSearchCommand:
         w = drawing_from_json(json.loads(wit.read_text()))
         assert w.m == 8
 
+    def test_quasiplanar_formula_note(self, capsys):
+        assert main(["search", "--n", "12", "--quasi", "4"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == "n=12 quasiplanar(h=4): best_m=27 (matches the table bound floor(27) = 27)"
+
     def test_witness_json_bytes(self, tmp_path, capsys):
         wit = tmp_path / "w.json"
         assert main(["search", "--n", "8", "--k", "2", "--witness", str(wit)]) == 0
@@ -312,6 +317,23 @@ class TestBoundsCommands:
         table = tmp_path / "t.json"
         table.write_text(json.dumps({"alpha": ["1/2"], "beta": ["0"]}))
         assert main(["bounds", "--k", "0", "--table", str(table)]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"alpha": 5, "beta": [1]}',
+            '{"alpha": [[1]], "beta": [1]}',
+            '{"alpha": [null], "beta": [1]}',
+            '{"alpha": [1e400], "beta": [1]}',
+            '{"alpha": "123", "beta": "000"}',
+            '{"alpha": [true, 2], "beta": [0, 1]}',
+        ],
+    )
+    def test_malformed_table_is_data_error(self, tmp_path, capsys, text):
+        table = tmp_path / "t.json"
+        table.write_text(text)
+        assert main(["crossing-bound", "--n", "10", "--m", "30", "--table", str(table)]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: ")
 
 
 class TestExport:

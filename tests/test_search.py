@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layerlens import search
 from layerlens.core import Drawing, is_h_quasiplanar, is_k_planar
 from layerlens.families import general_k_family, opt2planar, planar3_family, planar4_family
 from layerlens.oracles import (
@@ -22,9 +23,11 @@ from layerlens.search import (
     Constraint,
     KPlanar,
     Quasiplanar,
+    SearchResult,
+    SearchStats,
+    SplitStats,
     complete_bipartite,
     _minimax,
-    _search_oriented,
     _search_split,
     max_density,
     minimax_k,
@@ -33,6 +36,38 @@ from layerlens.search import (
 
 # max_density results shared by the tests that pin the same cases
 _max_density = cache(max_density)
+
+
+def _transposed_split(p: int, q: int, c: Constraint, start_best: int) -> tuple[int, list | None, SplitStats]:
+    """``_search_split`` on the transposed q x p grid, one row per vertex of
+    the larger layer; returns (best, cells mapped back to the p x q frame
+    with (x, i) -> (i, x) or None, stats of the p x q split)."""
+    best, cells, stats, _ = _search_split(q, p, c, start_best)
+    if cells is not None:
+        cells = [(i, x) for x, i in cells]
+    return best, cells, SplitStats(p, q, stats.nodes, stats.bound_nodes)
+
+
+@cache
+def _quasiplanar_search(n: int, c: Quasiplanar) -> SearchResult:
+    """The branch and bound that ``max_density`` answered a quasiplanar
+    constraint with before its closed form, kept as the reference route:
+    the splits with p <= q in increasing p, each on its transposed grid,
+    carrying the incumbent; the witness is from the smallest p attaining
+    the optimum."""
+    best, witness, splits = 0, None, []
+    for p in range(1, n // 2 + 1):
+        got, cells, stats = _transposed_split(p, n - p, c, best)
+        splits.append(stats)
+        if got > best:
+            best, witness = got, Drawing(p, n - p, frozenset(cells))
+    return SearchResult(best, witness, SearchStats(sum(s.nodes for s in splits), 0.0, tuple(splits)))
+
+
+def _searched(n: int, c: Constraint) -> SearchResult:
+    """The branch-and-bound result for n and c: ``max_density``'s for a
+    k-planar constraint, the reference route's for a quasiplanar one."""
+    return _quasiplanar_search(n, c) if isinstance(c, Quasiplanar) else _max_density(n, c)
 
 
 class TestConstraints:
@@ -102,9 +137,9 @@ class TestMaxDensity:
             max_density(15, KPlanar(2))
 
     def test_parallel_matches_sequential(self):
-        # at n = 11 the splits p = 4 and 5 run in worker processes, on their
-        # transposed grids
-        for n, cons, threads in [(8, KPlanar(3), 3), (7, Quasiplanar(3), 3), (11, Quasiplanar(3), 2)]:
+        # at n = 11 the splits p = 4 and 5 run in worker processes; a
+        # quasiplanar constraint reaches no worker, as it runs no search
+        for n, cons, threads in [(8, KPlanar(3), 3), (7, Quasiplanar(3), 3), (11, KPlanar(5), 2)]:
             seq = _max_density(n, cons)
             par = max_density(n, cons, threads=threads)
             assert seq.best_m == par.best_m
@@ -121,8 +156,8 @@ class TestMaxDensity:
 
     # Optimum, witness cells ("ix" = top i, bottom x) and the node count of
     # the search tree before the suffix bound, each measured exactly with
-    # that bound off (quasiplanar splits on their transposed grid, as they
-    # are searched); any change to the DFS that keeps a different first
+    # that bound off (quasiplanar splits by the reference route, on their
+    # transposed grid); any change to the DFS that keeps a different first
     # optimum shows here.  The suffix bound only tightens an admissible
     # bound, and the incumbent at each point of the DFS order is the best
     # leaf before it either way, so outside the suffix solves it visits a
@@ -154,14 +189,15 @@ class TestMaxDensity:
         ],
     )
     def test_pinned_search_tree(self, n, constraint, best_m, unbounded_nodes, cells):
-        r = _max_density(n, constraint)
+        r = _searched(n, constraint)
         assert r.best_m == best_m
         assert r.stats.nodes - sum(s.bound_nodes for s in r.stats.splits) <= unbounded_nodes
         assert r.witness.sorted_edges() == [(int(c[0]), int(c[1])) for c in cells.split()]
 
     # Exact node counts with the suffix bound: all nodes, and the part of
-    # them spent on suffix solves.  Quasiplanar splits are searched on the
-    # transposed grid, one row per vertex of the larger layer.
+    # them spent on suffix solves.  Quasiplanar splits are searched by the
+    # reference route, on the transposed grid, one row per vertex of the
+    # larger layer.
     NODE_COUNTS = [
         (6, KPlanar(0), 79, 50),
         (6, KPlanar(2), 107, 62),
@@ -191,7 +227,7 @@ class TestMaxDensity:
         "n,constraint,nodes,bound_nodes", NODE_COUNTS, ids=[f"{n}-{c.label}" for n, c, *_ in NODE_COUNTS]
     )
     def test_pinned_node_counts(self, n, constraint, nodes, bound_nodes):
-        stats = _max_density(n, constraint).stats
+        stats = _searched(n, constraint).stats
         assert (stats.nodes, sum(s.bound_nodes for s in stats.splits)) == (nodes, bound_nodes)
 
     def test_split_stats(self):
@@ -211,6 +247,22 @@ class TestMaxDensity:
         r = max_density(6, KPlanar(2))
         assert r.stats.nodes > 0
         assert r.stats.millis >= 0
+
+    def test_quasiplanar_closed_form_matches_the_search(self):
+        for n in range(2, 14):
+            for h in range(2, 8):
+                r = max_density(n, Quasiplanar(h))
+                ref = _quasiplanar_search(n, Quasiplanar(h))
+                assert (r.best_m, r.witness) == (ref.best_m, ref.witness), (n, h)
+                assert (r.stats.nodes, r.stats.splits) == (0, ())
+
+    def test_quasiplanar_runs_no_search(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(search, "_search_split", fail)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", fail)
+        assert max_density(14, Quasiplanar(4), threads=2).best_m == 33
 
 
 def _brute_force_suffix_optima(
@@ -271,19 +323,20 @@ def test_suffix_bound_table_beyond_twelve_cells(p, q, start):
 
 @pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 13) for q in range(1, 13) if p * q <= 12])
 def test_layer_swap_second_route(p, q):
-    # the p x q and q x p grids have the same optimum, and a split searched
-    # on its transposed grid maps its cells back to an allowed p x q drawing
+    # the p x q and q x p grids have the same optimum, and the cells of
+    # either search, those of the transposed one mapped back, are an
+    # allowed p x q drawing
     for c in [KPlanar(k) for k in range(4)] + [Quasiplanar(h) for h in range(2, 5)]:
-        best = _search_split(p, q, c, 0)[0]
-        assert _search_split(q, p, c, 0)[0] == best, c
-        got, cells, stats = _search_oriented(p, q, c, 0)
+        best, cells, _, _ = _search_split(p, q, c, 0)
+        got, back, stats = _transposed_split(p, q, c, 0)
         assert (got, stats.p, stats.q) == (best, p, q), c
-        d = Drawing(p, q, frozenset(cells))
-        assert d.m == best, c
-        if isinstance(c, KPlanar):
-            assert is_k_planar(d, c.k) and brute_force_profile(d).max_per_edge <= c.k, c
-        else:
-            assert is_h_quasiplanar(d, c.h) and brute_force_mutually_crossing(d) < c.h, c
+        for found in (cells, back):
+            d = Drawing(p, q, frozenset(found))
+            assert d.m == best, c
+            if isinstance(c, KPlanar):
+                assert is_k_planar(d, c.k) and brute_force_profile(d).max_per_edge <= c.k, c
+            else:
+                assert is_h_quasiplanar(d, c.h) and brute_force_mutually_crossing(d) < c.h, c
 
 
 class TestMinimax:
@@ -431,8 +484,8 @@ class TestBipartiteGraph:
 def test_search_exhaustive_cross_check():
     # tiny-n ground truth by full enumeration over splits and subsets
     rng = random.Random(5)
-    for n in (3, 4, 5):
-        for cons in (KPlanar(1), KPlanar(2), Quasiplanar(3)):
+    for n in (3, 4, 5, 6):
+        for cons in (KPlanar(1), KPlanar(2), Quasiplanar(2), Quasiplanar(3), Quasiplanar(4)):
             best = 0
             for p in range(1, n):
                 q = n - p
@@ -450,4 +503,4 @@ def test_search_exhaustive_cross_check():
                         if ok:
                             best = max(best, r)
                             break
-            assert max_density(n, cons).best_m == best, (n, cons)
+            assert max_density(n, cons).best_m == _searched(n, cons).best_m == best, (n, cons)
