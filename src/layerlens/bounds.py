@@ -247,8 +247,9 @@ def table_from_json(data: dict) -> CoefficientTable:
         beta = tuple(Fraction(b) for b in data["beta"])
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad rational in table: {exc}") from exc
-    if "t" in data and data["t"] != len(alpha):
-        raise ValueError("declared t does not match the alpha row count")
+    t = data.get("t", len(alpha))
+    if type(t) is not int or t != len(alpha):  # JSON true and 1.0 are not row counts
+        raise ValueError(f"declared t must be the alpha row count {len(alpha)}, got {t!r}")
     return CoefficientTable(alpha=alpha, beta=beta)
 
 

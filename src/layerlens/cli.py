@@ -25,7 +25,6 @@ from .core import (
     Drawing,
     Edge,
     _write_json,
-    brick_decomposition,
     crossing_profile,
     drawing_to_json,
     load_drawing,
@@ -92,7 +91,7 @@ class AnalysisReport:
 def analyze_drawing(d: Drawing) -> AnalysisReport:
     prof = crossing_profile(d)
     mcn = mutually_crossing_number(d)
-    bricks = brick_decomposition(d)
+    planar = tuple(e for e, c in prof.per_edge.items() if c == 0)  # in (i, x) order
     cubic = bnd.crossing_lower_bound(d.n, d.m)
     linear = max(Fraction(0), bnd.auxiliary_lower_bound(d.n, d.m))
     k = prof.max_per_edge
@@ -106,8 +105,8 @@ def analyze_drawing(d: Drawing) -> AnalysisReport:
         total_crossings=prof.total,
         max_per_edge=k,
         mutually_crossing=mcn,
-        planar_edges=tuple(sorted(e for e, c in prof.per_edge.items() if c == 0)),
-        brick_count=len(bricks.bricks),
+        planar_edges=planar,
+        brick_count=max(len(planar) - 1, 0),
         pathwidth_width=max(path_width(d), 0),
         cubic_bound=cubic,
         cubic_bound_holds=None if cubic is None else Fraction(prof.total) >= cubic,
@@ -453,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     except _DataError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

@@ -124,10 +124,9 @@ def edges_cross(e1: Edge, e2: Edge) -> bool:
 
 @dataclass(frozen=True)
 class CrossingProfile:
-    """Per-edge crossing counts of a fixed drawing.
-
-    ``total`` counts unordered crossing pairs, so the per-edge values sum
-    to twice the total.
+    """Per-edge crossing counts of a fixed drawing, ``per_edge`` keyed in
+    (i, x) order.  ``total`` counts unordered crossing pairs, so the
+    per-edge values sum to twice the total.
     """
 
     per_edge: dict[Edge, int]
@@ -268,7 +267,7 @@ def brick_decomposition(d: Drawing) -> BrickDecomposition:
     bricks, which are reported as-is.
     """
     prof = crossing_profile(d)
-    planar = sorted(e for e, c in prof.per_edge.items() if c == 0)
+    planar = [e for e, c in prof.per_edge.items() if c == 0]
     bricks = []
     for (i1, x1), (i2, x2) in zip(planar, planar[1:]):
         bricks.append(Brick(i1, i2, x1, x2, induced_subdrawing(d, i1, i2, x1, x2)))

@@ -170,6 +170,8 @@ class TestTableJson:
             {"alpha": [float("inf")], "beta": [1]},
             {"alpha": "123", "beta": "000"},
             {"alpha": [True, 2], "beta": [0, 1]},
+            {"t": True, "alpha": ["1"], "beta": ["0"]},
+            {"t": 1.0, "alpha": ["1"], "beta": ["0"]},
         ],
     )
     def test_rejects_malformed_rows(self, data):

@@ -7,13 +7,26 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from layerlens import cli, core
 from layerlens.cli import analyze_drawing, main
-from layerlens.core import Drawing, drawing_from_json, drawing_to_json, save_drawing
+from layerlens.core import Drawing, brick_decomposition, drawing_from_json, drawing_to_json, save_drawing
 from layerlens.decomposition import build_path_decomposition, decomposition_to_json
 from layerlens.export import to_csv, to_dot, to_svg
 from layerlens.families import opt2planar, planar4_family, planar6_family, special_s
 from layerlens.search import KPlanar, max_density
+
+
+@st.composite
+def _drawings(draw):
+    """Random drawings of up to 7 x 7, edgeless ones and isolated vertices
+    included."""
+    p = draw(st.integers(1, 7))
+    q = draw(st.integers(1, 7))
+    cells = [(i, x) for i in range(1, p + 1) for x in range(1, q + 1)]
+    return Drawing(p, q, frozenset(draw(st.sets(st.sampled_from(cells)))))
 
 
 @pytest.fixture
@@ -173,6 +186,37 @@ class TestAnalyze:
         assert "path decomposition width: 1\n" in capsys.readouterr().out
         assert peak < 1_000_000
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            _drawings(),
+            st.builds(opt2planar, st.integers(1, 6)),
+            st.builds(planar4_family, st.integers(1, 6)),
+        )
+    )
+    def test_bricks_match_brick_decomposition(self, d):
+        r = analyze_drawing(d)
+        bd = brick_decomposition(d)
+        assert r.planar_edges == bd.planar_edges
+        assert r.brick_count == len(bd.bricks)
+
+    def test_bricks_read_off_one_crossing_profile(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("built a sub-drawing")
+
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return core.crossing_profile(d)
+
+        monkeypatch.setattr(core, "brick_decomposition", fail)
+        monkeypatch.setattr(core, "induced_subdrawing", fail)
+        monkeypatch.setattr(cli, "crossing_profile", counted)
+        r = analyze_drawing(opt2planar(50))
+        assert (r.brick_count, len(r.planar_edges)) == (50, 51)
+        assert len(calls) == 1
+
     def test_report_fields_match_library(self):
         r = analyze_drawing(special_s())
         assert (r.p, r.q, r.n, r.m) == (4, 4, 8, 14)
@@ -327,6 +371,8 @@ class TestBoundsCommands:
             '{"alpha": [1e400], "beta": [1]}',
             '{"alpha": "123", "beta": "000"}',
             '{"alpha": [true, 2], "beta": [0, 1]}',
+            '{"t": true, "alpha": ["1"], "beta": ["0"]}',
+            '{"t": 1.0, "alpha": ["1"], "beta": ["0"]}',
         ],
     )
     def test_malformed_table_is_data_error(self, tmp_path, capsys, text):
@@ -334,6 +380,23 @@ class TestBoundsCommands:
         table.write_text(text)
         assert main(["crossing-bound", "--n", "10", "--m", "30", "--table", str(table)]) == 2
         assert capsys.readouterr().err.startswith("invalid input: ")
+        assert main(["bounds", "--k", "0", "--table", str(table)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--k", "6", "--n", str(10**330)],
+            ["bounds", "--k", str(10**330)],
+            ["crossing-bound", "--n", "4", "--m", str(10**330)],
+            ["crossing-bound", "--n", str(10**330), "--m", "1"],
+        ],
+        ids=["bounds-n", "bounds-k", "crossing-bound-m", "crossing-bound-n"],
+    )
+    def test_huge_integers_are_usage_errors(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert "Traceback" not in err
 
 
 class TestExport:

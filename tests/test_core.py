@@ -243,8 +243,10 @@ class TestCrossingProfile:
         q = data.draw(st.integers(1, 7))
         cells = [(i, x) for i in range(1, p + 1) for x in range(1, q + 1)]
         edges = data.draw(st.sets(st.sampled_from(cells)))
-        prof = crossing_profile(Drawing(p, q, frozenset(edges)))
+        d = Drawing(p, q, frozenset(edges))
+        prof = crossing_profile(d)
         assert sum(prof.per_edge.values()) == 2 * prof.total
+        assert list(prof.per_edge) == d.sorted_edges()
 
 
 # ---------------------------------------------------------------------------
