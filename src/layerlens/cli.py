@@ -302,29 +302,31 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     k = args.k
     if k < 0:
         raise _UsageError("k must be non-negative")
+    lines = []
     if k < table.t:
         coeff_a, coeff_b = table.alpha[k], table.beta[k]
         if args.n is not None:
-            print(f"density upper bound (table row {k}): {coeff_a}*n - {coeff_b} = {coeff_a * args.n - coeff_b}")
+            lines.append(f"density upper bound (table row {k}): {coeff_a}*n - {coeff_b} = {coeff_a * args.n - coeff_b}")
         else:
-            print(f"density upper bound (table row {k}): {coeff_a}*n - {coeff_b}")
+            lines.append(f"density upper bound (table row {k}): {coeff_a}*n - {coeff_b}")
         if k == 5:
-            print("note: the 8-vertex, 14-edge exceptional drawing exceeds this row; all other sizes are tight")
+            lines.append("note: the 8-vertex, 14-edge exceptional drawing exceeds this row; all other sizes are tight")
     else:
         db = bnd.density_upper_bound(args.n if args.n is not None else 4, k, table)
         sqrt_part = f"{db.sqrt_coeff}*sqrt(k)" if db.sqrt_coeff is not None else f"sqrt({db.sqrt_coeff_sq}*k)"
-        print(f"density upper bound: max({db.base_coeff}, {sqrt_part})*n = {db.coefficient_str()}*n")
+        lines.append(f"density upper bound: max({db.base_coeff}, {sqrt_part})*n = {db.coefficient_str()}*n")
         if args.n is not None:
-            print(f"at n={args.n}: m <= {db.value():.6g}")
+            lines.append(f"at n={args.n}: m <= {db.value():.6g}")
     if k >= 2:
         gl = bnd.density_lower_bound_general(k)
-        print(f"band lower bound: offset ell={gl.ell}, m(p) = 2*(ell*p - ell*(ell+1)/2)")
+        lines.append(f"band lower bound: offset ell={gl.ell}, m(p) = 2*(ell*p - ell*(ell+1)/2)")
         if args.n is not None and args.n // 2 > gl.ell:
-            print(f"at n={args.n} (p={args.n // 2}): m = {gl.edge_count(args.n // 2)}")
-        print(f"quasiplanarity threshold: h = {bnd.quasiplanar_threshold(k)}")
+            lines.append(f"at n={args.n} (p={args.n // 2}): m = {gl.edge_count(args.n // 2)}")
+        lines.append(f"quasiplanarity threshold: h = {bnd.quasiplanar_threshold(k)}")
     else:
-        print("band lower bound: needs k >= 2")
-        print("quasiplanarity threshold: h = 3 (trivially, fewer than 2 crossings per edge)")
+        lines.append("band lower bound: needs k >= 2")
+        lines.append("quasiplanarity threshold: h = 3 (trivially, fewer than 2 crossings per edge)")
+    print("\n".join(lines))
     return 0
 
 

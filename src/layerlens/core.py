@@ -265,13 +265,22 @@ def brick_decomposition(d: Drawing) -> BrickDecomposition:
     maximal brick.  Consecutive bricks share exactly their common boundary
     edge.  Planar edges sharing a vertex produce degenerate (trivial)
     bricks, which are reported as-is.
+
+    The edges of a brick are exactly the run of sorted edges from one
+    planar edge to the next, both included: a run edge outside the window
+    would cross one of the two planar edges, and every window edge lies
+    between them in (i, x) order.  So one sweep over the sorted edges
+    builds every brick's drawing, in O(m log m) in all.
     """
     prof = crossing_profile(d)
-    planar = [e for e, c in prof.per_edge.items() if c == 0]
+    order = list(prof.per_edge)
+    cuts = [pos for pos, c in enumerate(prof.per_edge.values()) if c == 0]
     bricks = []
-    for (i1, x1), (i2, x2) in zip(planar, planar[1:]):
-        bricks.append(Brick(i1, i2, x1, x2, induced_subdrawing(d, i1, i2, x1, x2)))
-    return BrickDecomposition(tuple(planar), tuple(bricks))
+    for a, b in zip(cuts, cuts[1:]):
+        (i1, x1), (i2, x2) = order[a], order[b]
+        edges = frozenset((i - i1 + 1, x - x1 + 1) for i, x in order[a : b + 1])
+        bricks.append(Brick(i1, i2, x1, x2, Drawing(i2 - i1 + 1, x2 - x1 + 1, edges)))
+    return BrickDecomposition(tuple(order[pos] for pos in cuts), tuple(bricks))
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +328,7 @@ def save_drawing(d: Drawing, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
+_INT = frozenset((int,))
 
 
 @cache
@@ -331,16 +341,39 @@ def _layout(level: int) -> tuple[Callable[[object], str], str, str]:
     return json.JSONEncoder(separators=("," + inner, ": ")).encode, inner, inner[:-2]
 
 
+def _plain_strs(items: list | tuple) -> bool:
+    """True when every item is a str and json writes each one as its
+    characters between quotes: their concatenation is printable ASCII
+    without a quote or backslash.  json writes a str subclass as its
+    value, so subclasses count as str here."""
+    try:
+        text = "".join(items)
+    except TypeError:  # an item that is not a str
+        return False
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
 def _json_leaf(obj: object, level: int) -> str | None:
     """The text of ``obj`` ``level`` deep as one chunk when it is a
     scalar, an empty container or a list whose items all have a scalar
-    type (exactly str, int, float, bool or None); None otherwise."""
+    type (exactly str, int, float, bool or None); None otherwise.
+
+    Two kinds of list are joined in Python, which costs less than a call
+    to the encoder: exact ints, whose ``str`` is json's text, and strs
+    that need no escape (``_plain_strs``).  Bools and other int
+    subclasses are not exact ints, so they go to the encoder with every
+    other list of scalars.
+    """
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        encode, inner, outer = _layout(level)
+        if _INT.issuperset(map(type, obj)):
+            return "[" + inner + ("," + inner).join(map(str, obj)) + outer + "]"
+        if _plain_strs(obj):
+            return "[" + inner + '"' + ('",' + inner + '"').join(obj) + '"' + outer + "]"
         if not _SCALARS.issuperset(map(type, obj)):
             return None
-        encode, inner, outer = _layout(level)
         return f"[{inner}{encode(obj)[1:-1]}{outer}]"
     if isinstance(obj, dict):
         return None if obj else "{}"
@@ -351,10 +384,10 @@ def _json_chunks(obj: object, level: int = 0) -> Iterator[str]:
     """The text of ``json.dumps(obj, indent=2)``, in chunks.
 
     With an indent, json encodes in pure Python, a few generator steps per
-    value.  Here every list of scalars is one call to the C encoder, whose
-    item separator carries the indentation, and only the containers around
-    such lists are walked in Python.  Non-str dict keys are converted as
-    json converts them.
+    value.  Here every list of scalars is one chunk, a join or one call to
+    the C encoder, whose item separator carries the indentation, and only
+    the containers around such lists are walked in Python.  Non-str dict
+    keys are converted as json converts them.
     """
     text = _json_leaf(obj, level)
     if text is not None:

@@ -22,6 +22,7 @@ and O(m) memory without building a bag.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
@@ -232,9 +233,26 @@ def validate_decomposition(d: Drawing, pd: PathDecomposition) -> DecompositionRe
 
 
 def decomposition_to_json(pd: PathDecomposition) -> dict:
-    """JSON form: bags as lists of "u<i>"/"v<x>" labels, plus the width.
+    """JSON form: bags as sorted lists of "u<i>"/"v<x>" labels, plus the
+    width.
 
-    Each vertex is labelled once, however many bags hold it."""
+    Each vertex is labelled once, however many bags hold it.  One sorted
+    list of the current bag's labels is kept: between neighbouring bags
+    the leaving labels are deleted and the entering ones inserted by
+    bisection, and each bag is a copy of the list.  Between consecutive
+    bags of a sweep at most two vertices leave and two enter, so the cost
+    is O(sum of bag sizes) list copying rather than a sort per bag.  Any
+    bags give ``sorted``'s lists, a label shared by two vertices, such as
+    "u11" of ("u", 11) and ("u1", 1), included."""
     labels = {vert: f"{vert[0]}{vert[1]}" for vert in frozenset().union(*pd.bags)}
-    bags = [sorted(map(labels.__getitem__, bag)) for bag in pd.bags]
+    bags = []
+    current: list[str] = []
+    prev: frozenset[Vertex] = frozenset()
+    for bag in pd.bags:
+        for vert in prev - bag:
+            del current[bisect_left(current, labels[vert])]
+        for vert in bag - prev:
+            insort(current, labels[vert])
+        bags.append(current[:])
+        prev = bag
     return {"bags": bags, "width": pd.width}

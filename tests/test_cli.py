@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import tracemalloc
@@ -16,7 +17,7 @@ from layerlens.core import Drawing, brick_decomposition, drawing_from_json, draw
 from layerlens.decomposition import build_path_decomposition, decomposition_to_json
 from layerlens.export import to_csv, to_dot, to_svg
 from layerlens.families import opt2planar, planar4_family, planar6_family, special_s
-from layerlens.search import KPlanar, max_density
+from layerlens.search import KPlanar, max_density, random_drawing
 
 
 @st.composite
@@ -326,6 +327,21 @@ class TestPathwidthCommand:
         expected = json.dumps(decomposition_to_json(build_path_decomposition(drawing)), indent=2)
         assert out.read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize(
+        "drawing, digest",
+        [
+            (planar6_family(250), "46a6e288411736a0ba1a7b04c1ee6f1fcf2b69240171bff3387dbab4c927a2d3"),
+            (random_drawing(250, 250, 2000, 1), "7fba7a1cc46316063560823965715118fb738c9392f4c141e19efb322963c975"),
+        ],
+        ids=["planar6-250", "random-250x250-m2000"],
+    )
+    def test_out_bytes_pinned(self, tmp_path, capsys, drawing, digest):
+        # sha256 of json.dumps(..., indent=2) of the decomposition with every bag sorted on its own
+        src, out = tmp_path / "d.json", tmp_path / "pd.json"
+        save_drawing(drawing, str(src))
+        assert main(["pathwidth", str(src), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestBoundsCommands:
     def test_small_k_row(self, capsys):
@@ -394,9 +410,18 @@ class TestBoundsCommands:
     )
     def test_huge_integers_are_usage_errors(self, capsys, argv):
         assert main(argv) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("usage error: ")
         assert "Traceback" not in err
+
+    def test_bounds_text_pinned(self, capsys):
+        # sha256 of the stdout of bounds for k = 0..8, each without and with --n 100
+        for k in range(9):
+            for extra in ([], ["--n", "100"]):
+                assert main(["bounds", "--k", str(k), *extra]) == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == "1b66b0c4c7fd5504ec44a4547804b9050cab9da89157af787be75a8eea41f40e"
 
 
 class TestExport:

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerlens.core import (
+    Brick,
+    BrickDecomposition,
     Drawing,
     brick_decomposition,
     crossing_profile,
@@ -23,7 +25,7 @@ from layerlens.core import (
     is_k_planar,
     mutually_crossing_number,
 )
-from layerlens.families import opt2planar
+from layerlens.families import opt2planar, planar4_family, planar6_family
 from layerlens.oracles import brute_force_mutually_crossing, brute_force_profile
 from layerlens.search import random_drawing
 
@@ -329,6 +331,21 @@ class TestBricks:
         bd = brick_decomposition(opt2planar(4))
         for left, right in zip(bd.bricks, bd.bricks[1:]):
             assert (left.i_hi, left.x_hi) == (right.i_lo, right.x_lo)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_one_sweep_matches_induced_subdrawings(self, data):
+        # sparse drawings have several planar edges, hence several bricks
+        p, q = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        cells = [(i, x) for i in range(1, p + 1) for x in range(1, q + 1)]
+        edges = data.draw(st.sets(st.sampled_from(cells), max_size=data.draw(st.sampled_from([3, 8, p * q]))))
+        for d in (Drawing(p, q, frozenset(edges)), opt2planar(p), planar4_family(q), planar6_family(p + 1)):
+            planar = [e for e, c in crossing_profile(d).per_edge.items() if c == 0]
+            bricks = [
+                Brick(i1, i2, x1, x2, induced_subdrawing(d, i1, i2, x1, x2))
+                for (i1, x1), (i2, x2) in zip(planar, planar[1:])
+            ]
+            assert brick_decomposition(d) == BrickDecomposition(tuple(planar), tuple(bricks))
 
     def test_induced_subdrawing_window_check(self):
         with pytest.raises(ValueError):

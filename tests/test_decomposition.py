@@ -287,3 +287,19 @@ def test_json_schema():
     assert all(isinstance(b, list) for b in data["bags"])
     flat = {v for bag in data["bags"] for v in bag}
     assert flat <= {"u1", "u2", "v1", "v2"}
+
+
+# ("u", 11) and ("u1", 1) share the label "u11", and labels sort as
+# strings, so "u10" comes before "u2"
+_tags = st.sampled_from([("u", 1), ("u", 2), ("u", 10), ("u", 11), ("u1", 1), ("v", 0), ("v", 1), ("v", 12), ("v1", 2)])
+
+
+@given(st.lists(st.frozensets(_tags, max_size=6), max_size=12))
+@example([])
+@example([frozenset(), frozenset({("u", 1)}), frozenset()])
+@example([frozenset({("u", 1), ("v", 1)}), frozenset({("v", 1)}), frozenset({("u", 1), ("v", 1)})])
+@example([frozenset({("u", 11), ("u1", 1)}), frozenset({("u1", 1)}), frozenset({("u", 11), ("u1", 1), ("v", 0)})])
+def test_json_bags_match_sorted_labels(bags):
+    pd = PathDecomposition(tuple(bags))
+    expected = [sorted(f"{layer}{idx}" for layer, idx in b) for b in bags]
+    assert decomposition_to_json(pd) == {"bags": expected, "width": pd.width}

@@ -5,6 +5,7 @@ value."""
 from __future__ import annotations
 
 import json
+from enum import IntEnum
 
 import pytest
 from hypothesis import example, given
@@ -52,6 +53,27 @@ def test_any_json_value(obj):
     assert _text(obj) == json.dumps(obj, indent=2)
 
 
+class _Label(str):
+    """A str whose str and repr are not its value; json writes its value."""
+
+    def __str__(self):
+        return "label"
+
+    def __repr__(self):
+        return "label"
+
+
+class _Mode(IntEnum):
+    ONE = 1
+
+
+class _Named(int):
+    """An int whose str is not json's text for it."""
+
+    def __str__(self):
+        return "one"
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -69,6 +91,31 @@ def test_any_json_value(obj):
         "plain",
         7,
         None,
+        # the str and int join paths, and the lists that must bypass them
+        ["u1", "v12", "u3"],
+        ("a", "b"),
+        {"bags": [["u1", "v2"], ["v2"]], "edges": [[1, 2], [3, 4]]},
+        [""],
+        ["", "a", ""],
+        ["\x7f"],
+        ["ok", "\x01"],
+        ["tab\t", "ok"],
+        ['say "hi"'],
+        ["back\\slash"],
+        ["h\u00e9"],
+        ["a", "\u2603"],
+        [_Label("u1"), "v1"],
+        [_Label("u1")],
+        [0, -1, 10**40, -(10**40)],
+        (1, 2),
+        [_Mode.ONE, 2],
+        [_Mode.ONE],
+        [_Named(1), 2],
+        [True, 1],
+        [1, False],
+        [1, 2.5],
+        [1, "1"],
+        [1, None],
     ],
 )
 def test_hand_made(obj):
