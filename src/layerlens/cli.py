@@ -107,7 +107,7 @@ def analyze_drawing(d: Drawing) -> AnalysisReport:
         mutually_crossing=mcn,
         planar_edges=planar,
         brick_count=max(len(planar) - 1, 0),
-        pathwidth_width=max(path_width(d), 0),
+        pathwidth_width=path_width(d),
         cubic_bound=cubic,
         cubic_bound_holds=None if cubic is None else Fraction(prof.total) >= cubic,
         linear_bound_clamped=linear,

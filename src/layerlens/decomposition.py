@@ -123,11 +123,11 @@ def path_width(d: Drawing) -> int:
 
     Both orientations are swept and the smaller largest bag is kept, as
     the builder does; isolated vertices only add singleton bags, which
-    never decide the width.  Time O(m log m) and memory O(m), whatever the
-    layer sizes.  An edgeless drawing has width -1.
+    never decide the width unless there is no edge, and then it is 0.  Time
+    O(m log m) and memory O(m), whatever the layer sizes.
     """
     if d.m == 0:
-        return -1
+        return 0
     top, bottom, u, v = _orientations(d)
     return min(_largest_bag(top, v), _largest_bag(bottom, u)) - 1
 
@@ -141,12 +141,10 @@ def build_path_decomposition(d: Drawing) -> PathDecomposition:
     is known from the active set alone, so only the chosen orientation's
     bags are materialized.  The cost is O(m log m + sum of bag sizes).
     Isolated vertices get singleton bags at the end so that every vertex
-    is covered.  An edgeless drawing yields an empty decomposition.
+    is covered; an edgeless drawing has only those, and width 0.
     """
-    if d.m == 0:
-        return PathDecomposition(())
     top, bottom, u, v = _orientations(d)
-    if _largest_bag(bottom, u) < _largest_bag(top, v):
+    if d.m and _largest_bag(bottom, u) < _largest_bag(top, v):
         order, primary, secondary, orientation = bottom, v, u, "bottom"
     else:
         order, primary, secondary, orientation = top, u, v, "top"

@@ -21,10 +21,14 @@ bound over grid cells in lexicographic (row, column) order with
   exact optimum of the future cells taken on their own.  The latter is a
   Russian-doll bound (Verfaillie, Lemaitre and Schiex, AAAI 1996): both
   constraints are hereditary, so whatever a completion adds is itself an
-  allowed drawing on those cells, and the suffix optima are solved last
-  cell first by the same DFS, each with the next one as its incumbent,
+  allowed drawing on those cells, and the suffix optima are found last
+  cell first, each one more than the next or equal to it: one more when
+  the next one's optimal drawing extends by the new cell, otherwise
+  decided by the same DFS from the next one as its incumbent, stopped at
+  the first drawing one above it,
 * per-split statistics: ``SearchStats.splits`` holds the nodes of every
-  split and the part of them spent on the suffix optima,
+  split, the part of them spent on the suffix optima and the number of
+  suffixes that needed a search,
 * one DFS for both constraints, the quasiplanar one kept as the second
   route the tests check the closed form against: including a cell
   returns a new state whose blocked-cell bitmask marks the cells that can
@@ -49,7 +53,6 @@ from __future__ import annotations
 import random
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import permutations, repeat
@@ -111,12 +114,14 @@ Constraint = KPlanar | Quasiplanar
 @dataclass(frozen=True)
 class SplitStats:
     """Work done on one split p + q = n: ``nodes`` counts every DFS node,
-    of which ``bound_nodes`` went into the suffix solves of the bound."""
+    of which ``bound_nodes`` went into the suffix solves of the bound, and
+    ``solves`` counts the suffix positions that ran a DFS."""
 
     p: int
     q: int
     nodes: int
     bound_nodes: int
+    solves: int = 0
 
 
 @dataclass(frozen=True)
@@ -212,6 +217,11 @@ def _quasiplanar_include(h: int, cross: list[int]) -> tuple[_Include, _State]:
     return include, (0, (0,) * (h - 1))
 
 
+class _SuffixSolved(Exception):
+    """Raised by a suffix solve at its first leaf one above the incumbent,
+    the most one more cell can add."""
+
+
 def _search_split(
     p: int, q: int, constraint: Constraint, start_best: int
 ) -> tuple[int, list[Edge] | None, SplitStats, list[int]]:
@@ -232,12 +242,19 @@ def _search_split(
     own (a Russian-doll bound).  Both constraints are hereditary, so the
     later cells of any completion form an allowed drawing by themselves and
     number at most ``cap[pos]``.  From the second row on, ``cap`` is exact:
-    it is solved last cell first by this same DFS on the suffix alone,
-    without rotation canonicalization and with ``cap[pos + 1]`` as the
-    incumbent, since one more cell adds at most one edge.  On the first row
-    it is ``cap[q] + (q - pos)``, because exact solves there cost more
-    nodes than they save.  An admissible bound never prunes the first
-    optimal leaf in DFS order, so the result does not depend on it.
+    it is settled last cell first, keeping ``wit``, the mask of an optimal
+    drawing of the suffix ``pos + 1..N-1``.  One more cell adds at most one
+    edge, so ``cap[pos]`` is ``cap[pos + 1]`` or one more.  If the include
+    step, replayed over ``wit`` and ``pos`` in cell order, finds no cell
+    blocked, it is one more and ``pos`` joins ``wit`` with no search; a
+    cell of the first column crosses no later cell, so it always joins.
+    Otherwise this same DFS solves the suffix alone, without rotation
+    canonicalization, from the incumbent ``cap[pos + 1]``, and stops at the
+    first leaf one above it, whose cells become ``wit``; ``solves`` counts
+    these searches.  On the first row ``cap`` is ``cap[q] + (q - pos)``,
+    because exact solves there cost more nodes than they save.  An
+    admissible bound never prunes the first optimal leaf in DFS order, so
+    the result does not depend on it.
 
     Rotation canonicalization: the 180 degree rotation maps cell t to cell
     N-1-t and preserves both constraints, so each drawing and its rotation
@@ -255,18 +272,20 @@ def _search_split(
     else:
         include, start = _quasiplanar_include(constraint.h, cross)
     nodes = 0
-    best_cells: list[Edge] | None = None
+    best_chosen: int | None = None
     cap = [0] * (n_cells + 1)
 
     def rec(pos: int, m: int, chosen: int, state: _State, eq: bool) -> None:
-        nonlocal nodes, best, best_cells
+        nonlocal nodes, best, best_chosen
         nodes += 1
         blocked = state[0]
         if m + cap[pos] <= best or m + (future[pos] & ~blocked).bit_count() <= best:
             return
         if pos == n_cells:
             best = m
-            best_cells = [cells[t] for t in range(n_cells) if chosen >> t & 1]
+            best_chosen = chosen
+            if m == limit:
+                raise _SuffixSolved
             return
 
         mirror = n_cells - 1 - pos
@@ -283,18 +302,44 @@ def _search_split(
         if cross[pos] and not force_include:
             rec(pos + 1, m, chosen, state, eq)
 
+    def allowed(mask: int) -> bool:
+        """Whether the cells of ``mask`` form an allowed drawing: the include
+        step replayed in cell order, failing on a blocked cell."""
+        chosen, state = 0, start
+        while mask:
+            low = mask & -mask
+            t = low.bit_length() - 1
+            if state[0] & low:
+                return False
+            state = include(t, chosen, state)
+            chosen |= low
+            mask ^= low
+        return True
+
+    wit = 0  # an optimal drawing of the suffix pos + 1..N-1
+    solves = 0
     for pos in range(n_cells - 1, q - 1, -1):
-        best = cap[pos + 1]
-        cap[pos] = best + 1  # bounds the root of its own solve
-        rec(pos, 0, 0, start, False)
+        limit = cap[pos + 1] + 1
+        cap[pos] = limit  # the most it can be; bounds the root of a solve
+        if allowed(wit | 1 << pos):
+            wit |= 1 << pos
+            continue
+        solves += 1
+        best = limit - 1
+        try:
+            rec(pos, 0, 0, start, False)
+        except _SuffixSolved:
+            wit = best_chosen
         cap[pos] = best
     for pos in range(q):
         cap[pos] = cap[q] + q - pos
     bound_nodes = nodes
     best = start_best
-    best_cells = None
+    best_chosen = None
+    limit = n_cells + 1  # out of reach: the main DFS runs to the end
     rec(0, 0, 0, start, True)
-    return best, best_cells, SplitStats(p, q, nodes, bound_nodes), cap
+    best_cells = None if best_chosen is None else [cells[t] for t in range(n_cells) if best_chosen >> t & 1]
+    return best, best_cells, SplitStats(p, q, nodes, bound_nodes, solves), cap
 
 
 def _quasiplanar_optimum(n: int, h: int) -> tuple[int, int]:
@@ -348,6 +393,9 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
             for p, q in splits[:n_seq]:
                 yield _search_split(p, q, constraint, best)
             if n_seq < len(splits):
+                # imported here, so that `import layerlens` leaves out multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
+
                 pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
                 ps, qs = zip(*splits[n_seq:])
                 yield from pool.map(_search_split, ps, qs, repeat(constraint), repeat(best))

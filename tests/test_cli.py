@@ -315,6 +315,13 @@ class TestPathwidthCommand:
         assert set(data) == {"bags", "width"}
         assert all(re.fullmatch(r"[uv]\d+", v) for bag in data["bags"] for v in bag)
 
+    def test_edgeless_drawing_is_valid(self, tmp_path, capsys):
+        src, out = tmp_path / "d.json", tmp_path / "pd.json"
+        src.write_text('{"p": 2, "q": 1, "edges": []}')
+        assert main(["pathwidth", str(src), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "bags=3 width=0 orientation=top valid=True\n"
+        assert json.loads(out.read_text()) == {"bags": [["u1"], ["u2"], ["v1"]], "width": 0}
+
     @pytest.mark.parametrize(
         "drawing",
         [planar6_family(3), Drawing(3, 4, frozenset({(1, 2), (3, 1)})), Drawing(2, 2)],

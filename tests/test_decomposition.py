@@ -44,12 +44,10 @@ def oracle_decomposition(d):
     """Bags and orientation from the definition: the oracle's bags for both
     layer orientations, the narrower kept (ties to the top layer), then one
     singleton bag per isolated vertex."""
-    if d.m == 0:
-        return (), "top"
     flip = {"u": "v", "v": "u"}
     top = brute_force_bags(d)
     bottom = [frozenset((flip[layer], idx) for layer, idx in b) for b in brute_force_bags(d.transpose())]
-    if max(map(len, bottom)) < max(map(len, top)):
+    if max(map(len, bottom), default=0) < max(map(len, top), default=0):
         bags, orientation = bottom, "bottom"
     else:
         bags, orientation = top, "top"
@@ -112,9 +110,11 @@ class TestBuilder:
         assert validate_decomposition(d, pd).valid
 
     def test_empty_drawing(self):
-        pd = build_path_decomposition(Drawing(2, 2, frozenset()))
-        assert pd.bags == ()
-        assert pd.width == -1
+        d = Drawing(2, 3, frozenset())
+        pd = build_path_decomposition(d)
+        assert validate_decomposition(d, pd).valid
+        assert pd.width == path_width(d) == 0
+        assert sorted(pd.bags) == sorted(frozenset({v}) for v in [("u", 1), ("u", 2), ("v", 1), ("v", 2), ("v", 3)])
 
     def test_isolated_vertices_get_singleton_bags(self):
         d = Drawing(3, 3, frozenset([(1, 1)]))

@@ -30,7 +30,7 @@ def drawings(draw):
 
 
 @given(drawings())
-@example(Drawing(3, 2))  # no edges: {"bags": [], "width": -1}
+@example(Drawing(3, 2))  # no edges: five singleton bags, width 0
 @example(Drawing(4, 5, frozenset({(2, 3)})))  # singleton bags of isolated vertices
 @example(special_s())  # a cubic bound of None, Fraction strings
 def test_library_json_forms(d):

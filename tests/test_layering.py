@@ -9,6 +9,8 @@ is imported to check them.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,3 +67,11 @@ def test_module_layering():
     for path in sorted(PACKAGE.glob("*.py")):
         _, relative = _imports(path)
         assert relative == LAYERS[path.stem], path.name
+
+
+def test_import_leaves_out_multiprocessing():
+    # max_density imports its process pool on the parallel path only
+    code = "import sys, layerlens, layerlens.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "[]"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import dataclasses
 import random
 from functools import cache
 from itertools import combinations
@@ -45,7 +47,7 @@ def _transposed_split(p: int, q: int, c: Constraint, start_best: int) -> tuple[i
     best, cells, stats, _ = _search_split(q, p, c, start_best)
     if cells is not None:
         cells = [(i, x) for x, i in cells]
-    return best, cells, SplitStats(p, q, stats.nodes, stats.bound_nodes)
+    return best, cells, dataclasses.replace(stats, p=p, q=q)
 
 
 @cache
@@ -151,8 +153,11 @@ class TestMaxDensity:
         # both from the best of p <= 3
         seq = _max_density(11, KPlanar(8))
         par = _max_density(11, KPlanar(8), threads=2)
-        assert par.stats.nodes == 93_915
+        assert par.stats.nodes == 83_015
         assert (par.best_m, par.witness) == (seq.best_m, seq.witness)
+        # the main DFS of each split, as when every suffix was solved in
+        # full; p = 5 starts from a lower incumbent than in sequence
+        assert [s.nodes - s.bound_nodes for s in par.stats.splits] == [11, 27, 2488, 16_096, 57_181]
 
     # Optimum, witness cells ("ix" = top i, bottom x) and the node count of
     # the search tree before the suffix bound, each measured exactly with
@@ -194,41 +199,45 @@ class TestMaxDensity:
         assert r.stats.nodes - sum(s.bound_nodes for s in r.stats.splits) <= unbounded_nodes
         assert r.witness.sorted_edges() == [(int(c[0]), int(c[1])) for c in cells.split()]
 
-    # Exact node counts with the suffix bound: all nodes, and the part of
-    # them spent on suffix solves.  Quasiplanar splits are searched by the
-    # reference route, on the transposed grid, one row per vertex of the
-    # larger layer.
+    # Exact node counts with the suffix bound: all nodes, the part of them
+    # spent on suffix solves, and the nodes of the main DFS of each split
+    # (nodes - bound_nodes).  Extending the last suffix witness and stopping
+    # a solve one above its incumbent fill the same bound table, so the
+    # main DFS keeps the counts it had when every suffix was solved in
+    # full.  Quasiplanar splits are searched by the reference route, on the
+    # transposed grid, one row per vertex of the larger layer.
     NODE_COUNTS = [
-        (6, KPlanar(0), 79, 50),
-        (6, KPlanar(2), 107, 62),
-        (6, KPlanar(5), 94, 62),
-        (6, Quasiplanar(2), 92, 73),
-        (6, Quasiplanar(3), 126, 98),
-        (6, Quasiplanar(4), 130, 98),
-        (8, KPlanar(0), 347, 221),
-        (8, KPlanar(2), 469, 302),
-        (8, KPlanar(5), 494, 302),
-        (8, Quasiplanar(2), 322, 274),
-        (8, Quasiplanar(3), 520, 423),
-        (8, Quasiplanar(4), 516, 449),
-        (10, KPlanar(0), 1697, 960),
-        (10, KPlanar(2), 2665, 1502),
-        (10, KPlanar(5), 12_348, 5255),
-        (10, Quasiplanar(2), 1186, 954),
-        (10, Quasiplanar(3), 4166, 2675),
-        (10, Quasiplanar(4), 2400, 1651),
-        (11, Quasiplanar(3), 11_147, 7828),
-        (12, KPlanar(5), 130_997, 69_493),
-        (12, Quasiplanar(4), 88_246, 40_081),
-        (13, KPlanar(5), 452_113, 181_308),
+        (6, KPlanar(0), 37, 8, (6, 14, 9)),
+        (6, KPlanar(2), 45, 0, (6, 15, 24)),
+        (6, KPlanar(5), 32, 0, (6, 12, 14)),
+        (6, Quasiplanar(2), 33, 14, (6, 4, 9)),
+        (6, Quasiplanar(3), 28, 0, (6, 12, 10)),
+        (6, Quasiplanar(4), 32, 0, (6, 12, 14)),
+        (8, KPlanar(0), 191, 65, (8, 40, 51, 27)),
+        (8, KPlanar(2), 248, 81, (8, 61, 65, 33)),
+        (8, KPlanar(5), 207, 15, (8, 18, 89, 77)),
+        (8, Quasiplanar(2), 125, 77, (8, 4, 9, 27)),
+        (8, Quasiplanar(3), 137, 40, (8, 18, 10, 61)),
+        (8, Quasiplanar(4), 67, 0, (8, 18, 23, 18)),
+        (10, KPlanar(0), 1149, 412, (10, 108, 231, 216, 172)),
+        (10, KPlanar(2), 1853, 690, (10, 211, 207, 329, 406)),
+        (10, KPlanar(5), 9333, 2240, (10, 66, 1234, 3861, 1922)),
+        (10, Quasiplanar(2), 589, 357, (10, 4, 9, 37, 172)),
+        (10, Quasiplanar(3), 2216, 725, (10, 24, 10, 207, 1240)),
+        (10, Quasiplanar(4), 889, 140, (10, 24, 32, 36, 647)),
+        (11, Quasiplanar(3), 5843, 2524, (11, 27, 10, 336, 2935)),
+        (12, KPlanar(5), 92_000, 30_496, (12, 505, 4544, 18_690, 22_054, 15_699)),
+        (12, Quasiplanar(4), 58_775, 10_610, (12, 30, 41, 50, 6774, 41_258)),
+        (13, KPlanar(5), 358_917, 88_112, (13, 1205, 4333, 61_102, 98_269, 105_883)),
     ]
 
     @pytest.mark.parametrize(
-        "n,constraint,nodes,bound_nodes", NODE_COUNTS, ids=[f"{n}-{c.label}" for n, c, *_ in NODE_COUNTS]
+        "n,constraint,nodes,bound_nodes,main_nodes", NODE_COUNTS, ids=[f"{n}-{c.label}" for n, c, *_ in NODE_COUNTS]
     )
-    def test_pinned_node_counts(self, n, constraint, nodes, bound_nodes):
+    def test_pinned_node_counts(self, n, constraint, nodes, bound_nodes, main_nodes):
         stats = _searched(n, constraint).stats
         assert (stats.nodes, sum(s.bound_nodes for s in stats.splits)) == (nodes, bound_nodes)
+        assert tuple(s.nodes - s.bound_nodes for s in stats.splits) == main_nodes
 
     def test_split_stats(self):
         r = _max_density(11, KPlanar(8))
@@ -238,10 +247,26 @@ class TestMaxDensity:
         # the suffix solves do not depend on the incumbent, so each split
         # spends the same bound nodes in a worker process
         par = _max_density(11, KPlanar(8), threads=2)
-        assert [(s.p, s.q, s.bound_nodes) for s in par.stats.splits] == [
-            (s.p, s.q, s.bound_nodes) for s in r.stats.splits
+        assert [(s.p, s.q, s.bound_nodes, s.solves) for s in par.stats.splits] == [
+            (s.p, s.q, s.bound_nodes, s.solves) for s in r.stats.splits
         ]
         assert par.stats.nodes == sum(s.nodes for s in par.stats.splits)
+
+    @pytest.mark.parametrize("n,constraint", [(11, KPlanar(8)), (12, KPlanar(5)), (12, KPlanar(2)), (10, Quasiplanar(3))])
+    def test_suffix_solves_counted(self, n, constraint):
+        # the first column of every row below the first crosses no later
+        # cell, so its suffix optimum is always the next one plus one, and
+        # the last cell's is 1: at most (p - 1)(q - 1) positions run a DFS
+        splits = _searched(n, constraint).stats.splits
+        assert all(0 <= s.solves <= (s.p - 1) * (s.q - 1) for s in splits)
+        assert all((s.solves == 0) == (s.bound_nodes == 0) for s in splits)
+        if isinstance(constraint, KPlanar):
+            assert sum(s.solves for s in splits) > 0
+            par = _max_density(n, constraint, threads=2).stats.splits
+            assert [(s.p, s.bound_nodes, s.solves) for s in par] == [(s.p, s.bound_nodes, s.solves) for s in splits]
+
+    def test_split_stats_constructor_without_solves(self):
+        assert SplitStats(1, 2, 3, 0).solves == 0
 
     def test_stats_populated(self):
         r = max_density(6, KPlanar(2))
@@ -261,7 +286,8 @@ class TestMaxDensity:
             raise AssertionError("searched")
 
         monkeypatch.setattr(search, "_search_split", fail)
-        monkeypatch.setattr(search, "ProcessPoolExecutor", fail)
+        # max_density imports the pool class on its parallel path only
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fail)
         assert max_density(14, Quasiplanar(4), threads=2).best_m == 33
 
 
@@ -298,7 +324,7 @@ def _brute_force_suffix_optima(
 def test_suffix_bound_table(p, q):
     # cap[pos] is exact from the second row on and an upper bound on the
     # first; the split's optimum is the whole grid's
-    constraints = [KPlanar(k) for k in range(4)] + [Quasiplanar(h) for h in (2, 3)]
+    constraints = [KPlanar(k) for k in range(6)] + [Quasiplanar(h) for h in (2, 3, 4)]
     optima = _brute_force_suffix_optima(p, q, constraints)
     for c in constraints:
         best, _, _, cap = _search_split(p, q, c, 0)
@@ -314,7 +340,7 @@ def test_suffix_bound_table_beyond_twelve_cells(p, q, start):
     # if it were a whole grid, falls short of its optimum for some k: the
     # suffix has no rotation symmetry.  Twelve-cell suffixes from `start`
     # on are checked against every subset of their cells.
-    constraints = [KPlanar(k) for k in range(4)] + [Quasiplanar(h) for h in (2, 3)]
+    constraints = [KPlanar(k) for k in range(6)] + [Quasiplanar(h) for h in (2, 3, 4)]
     optima = _brute_force_suffix_optima(p, q, constraints, start)
     for c in constraints:
         cap = _search_split(p, q, c, 0)[3]
