@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .families import FAMILIES, band_offset
 
@@ -41,7 +42,11 @@ class CoefficientTable:
     an n-vertex two-layer graph has at most alpha_i * n - beta_i edges.
 
     The row count t and the column sums alpha and beta feed the crossing
-    and density formulas.
+    and density formulas.  The sums, and the crossing coefficient and the
+    density threshold derived from them, are each computed on first use
+    and kept on the instance (``cached_property`` writes to the instance
+    dict, which the frozen dataclass allows), so a table does this
+    arithmetic once however many bounds read it.
     """
 
     alpha: tuple[Fraction, ...]
@@ -65,13 +70,27 @@ class CoefficientTable:
     def t(self) -> int:
         return len(self.alpha)
 
-    @property
+    @cached_property
     def alpha_sum(self) -> Fraction:
         return sum(self.alpha, Fraction(0))
 
-    @property
+    @cached_property
     def beta_sum(self) -> Fraction:
         return sum(self.beta, Fraction(0))
+
+    @cached_property
+    def _threshold(self) -> Fraction:
+        return 3 * self.alpha_sum / (2 * self.t)
+
+    @cached_property
+    def _coefficient(self) -> Fraction:
+        return Fraction(4 * self.t**3, 27) / (self.alpha_sum**2)
+
+
+_DEFAULT_TABLE = CoefficientTable(
+    alpha=(Fraction(1), Fraction(3, 2), Fraction(5, 3), Fraction(2), Fraction(2), Fraction(9, 4)),
+    beta=(Fraction(1), Fraction(2), Fraction(7, 3), Fraction(4), Fraction(3), Fraction(9, 2)),
+)
 
 
 def default_table() -> CoefficientTable:
@@ -81,11 +100,11 @@ def default_table() -> CoefficientTable:
     alpha with the additive constant of the corresponding tight bound:
     crossing-free two-layer graphs are caterpillar forests (n - 1), then
     3/2 n - 2, 5/3 n - 7/3, 2n - 4, 2n - 3 and 9/4 n - 9/2.
+
+    Every call returns the same instance.  It is frozen and its rows are
+    Fractions, so it cannot change, and its sums are computed once.
     """
-    return CoefficientTable(
-        alpha=(Fraction(1), Fraction(3, 2), Fraction(5, 3), Fraction(2), Fraction(2), Fraction(9, 4)),
-        beta=(Fraction(1), Fraction(2), Fraction(7, 3), Fraction(4), Fraction(3), Fraction(9, 2)),
-    )
+    return _DEFAULT_TABLE
 
 
 def small_k_density_bound(k: int, n: int, table: CoefficientTable | None = None) -> Fraction:
@@ -103,8 +122,7 @@ def crossing_lemma_coefficient(table: CoefficientTable | None = None) -> Fractio
 
     For the default table this is exactly 4608/15625 = 0.294912.
     """
-    table = table or default_table()
-    return Fraction(4 * table.t**3, 27) / (table.alpha_sum**2)
+    return (table or default_table())._coefficient
 
 
 def crossing_lower_bound(n: int, m: int, table: CoefficientTable | None = None) -> Fraction | None:
@@ -124,8 +142,7 @@ def crossing_lower_bound(n: int, m: int, table: CoefficientTable | None = None) 
 def density_threshold(table: CoefficientTable | None = None) -> Fraction:
     """The edge density 3 alpha / (2t) above which the crossing bound
     applies; 125/48 for the default table."""
-    table = table or default_table()
-    return 3 * table.alpha_sum / (2 * table.t)
+    return (table or default_table())._threshold
 
 
 def auxiliary_lower_bound(n: int, m: int, table: CoefficientTable | None = None) -> Fraction:

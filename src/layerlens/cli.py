@@ -362,14 +362,19 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     threads = _threads(args)
-    rows = rep.run_all(threads=threads)
+    elapsed: dict[str, float] = {}
+    rows = rep.run_all(threads=threads, elapsed=elapsed)
     csv_text = rep.rows_to_csv(rows)
-    sys.stdout.write(csv_text)
+    if args.json:
+        _dump_json(rep.rows_to_json(rows, elapsed), None)
+    else:
+        sys.stdout.write(csv_text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(csv_text)
     if all(r.passed for r in rows):
-        print(f"all {len(rows)} checks pass")
+        if not args.json:
+            print(f"all {len(rows)} checks pass")
         return 0
     failed = sum(1 for r in rows if not r.passed)
     print(f"{failed} of {len(rows)} checks FAILED", file=sys.stderr)
@@ -438,6 +443,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("reproduce", help="run the full verification suite, emit pass/fail CSV")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", default=None, help="also write the CSV here")
+    p.add_argument("--json", action="store_true", help="print the rows and per-criterion timings as JSON")
     p.set_defaults(func=_cmd_reproduce)
 
     return parser

@@ -49,6 +49,21 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _pairs_in_grid(edges: list[tuple] | frozenset, p: int, q: int) -> bool:
+    """True when every edge is an exact tuple of two exact ints inside the
+    p x q grid.  False says only that some edge needs the per-edge check:
+    it may be bad, or hold a bool, an int subclass or a tuple subclass,
+    which that check tells apart.  Exact type tests keep this loop to a
+    few operations per edge."""
+    for e in edges:
+        if type(e) is not tuple or len(e) != 2:
+            return False
+        i, x = e
+        if type(i) is not int or type(x) is not int or not (0 < i <= p and 0 < x <= q):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Drawing:
     """A two-layer drawing: top vertices u_1..u_p, bottom vertices
@@ -56,6 +71,15 @@ class Drawing:
 
     Indices are 1-based everywhere, matching the figures this library
     reproduces.  Isolated vertices are allowed; duplicate edges are not.
+
+    ``edges`` may be any iterable of pairs; it is stored as a frozenset.
+    Construction first runs one pass of exact type and range tests over
+    all edges (``_pairs_in_grid``).  Only when that pass does not accept
+    them does a per-edge loop run: it accepts int subclasses other than
+    bool and raises on the first bad edge in input order.  The
+    lexicographic edge order is computed on the first call of
+    :meth:`sorted_edges` and kept on the instance; it is not a field, so
+    equality, hashing, ``repr`` and pickling ignore it.
     """
 
     p: int
@@ -63,24 +87,30 @@ class Drawing:
     edges: frozenset[Edge] = frozenset()
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.p) and _is_int(self.q)):
-            raise ValueError(f"layer sizes must be integers, got p={self.p!r}, q={self.q!r}")
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"layer sizes must be positive, got p={self.p}, q={self.q}")
+        p, q = self.p, self.q
+        if not (_is_int(p) and _is_int(q)):
+            raise ValueError(f"layer sizes must be integers, got p={p!r}, q={q!r}")
+        if p < 1 or q < 1:
+            raise ValueError(f"layer sizes must be positive, got p={p}, q={q}")
         edges = self.edges
         if not isinstance(edges, frozenset):
-            edges = [tuple(e) for e in edges]
-        for e in edges:
-            if len(e) != 2 or not (_is_int(e[0]) and _is_int(e[1])):
-                raise ValueError(f"edge {e!r} is not a pair of integers")
-            i, x = e
-            if not (1 <= i <= self.p and 1 <= x <= self.q):
-                raise ValueError(f"edge {e} lies outside the {self.p}x{self.q} grid")
+            edges = list(map(tuple, edges))
+        if not _pairs_in_grid(edges, p, q):
+            for e in edges:
+                if len(e) != 2 or not (_is_int(e[0]) and _is_int(e[1])):
+                    raise ValueError(f"edge {e!r} is not a pair of integers")
+                i, x = e
+                if not (1 <= i <= p and 1 <= x <= q):
+                    raise ValueError(f"edge {e} lies outside the {p}x{q} grid")
         if not isinstance(self.edges, frozenset):
             frozen = frozenset(edges)
             if len(frozen) != len(edges):
                 raise ValueError("duplicate edges are not allowed")
             object.__setattr__(self, "edges", frozen)
+
+    def __getstate__(self) -> dict:
+        # the fields only, so the kept edge order never reaches a pickle
+        return {"p": self.p, "q": self.q, "edges": self.edges}
 
     @property
     def n(self) -> int:
@@ -93,8 +123,14 @@ class Drawing:
         return len(self.edges)
 
     def sorted_edges(self) -> list[Edge]:
-        """Edges in lexicographic order (top index, then bottom index)."""
-        return sorted(self.edges)
+        """Edges in lexicographic order (top index, then bottom index), as
+        a new list.  The drawing sorts once and keeps the order."""
+        try:
+            order = self._order
+        except AttributeError:
+            order = tuple(sorted(self.edges))
+            object.__setattr__(self, "_order", order)
+        return list(order)
 
     def transpose(self) -> Drawing:
         """Swap the two layers."""
@@ -139,10 +175,12 @@ def crossing_profile(d: Drawing) -> CrossingProfile:
 
     Crossing pairs are inversions: with edges sorted by (top, bottom), an
     edge crosses exactly the earlier edges with a strictly larger bottom
-    index and the later edges with a strictly smaller one.  Bottom
-    vertices are ranked among those used, so the counting tree's size
-    follows m rather than q.  Edge t of rank r makes one prefix query,
-    s = number of earlier edges of rank <= r, and one insert; then
+    index and the later edges with a strictly smaller one.  The rank of
+    an edge is its bottom index, or, when q > 2m, the rank of that index
+    among those used, so the counting tree's size is O(m) whatever q is
+    and most drawings build no rank table.  Edge t of rank r makes one
+    prefix query, s = number of earlier edges of rank <= r, and one
+    insert; then
 
     * earlier larger = t - s.  The earlier edges on t's own top vertex all
       have smaller ranks, so they sit in s and never count as crossings;
@@ -156,9 +194,13 @@ def crossing_profile(d: Drawing) -> CrossingProfile:
     if m == 0:
         return CrossingProfile({}, 0, 0)
 
-    rank = {x: r for r, x in enumerate(sorted({x for _, x in edges}), 1)}
-    ranks = [rank[x] for _, x in edges]
-    size = len(rank)
+    ranks = [x for _, x in edges]
+    size = d.q
+    if size > 2 * m:
+        used = sorted(set(ranks))
+        size = len(used)
+        rank = dict(zip(used, range(1, size + 1)))
+        ranks = [rank[x] for x in ranks]
     # base[r] = below[r] + at[r]: starts as the edges of rank < r and grows
     # by one as each edge of rank r is passed
     base = [0] * (size + 2)

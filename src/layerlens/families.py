@@ -78,6 +78,18 @@ def planar3_family(p: int) -> Drawing:
     return Drawing(p, p, frozenset(edges))
 
 
+def _k33_chain(beta: int) -> set[Edge]:
+    """Edges of the chain of beta K_{3,3} bricks on 2*beta + 1 vertices
+    per layer, consecutive bricks sharing a corner edge."""
+    edges = set()
+    for b in range(1, beta + 1):
+        lo = 2 * b - 1
+        for i in range(lo, lo + 3):
+            for x in range(lo, lo + 3):
+                edges.add((i, x))
+    return edges
+
+
 def planar4_family(beta: int) -> Drawing:
     """Chain of beta K_{3,3} bricks glued at shared crossing-free edges.
 
@@ -85,14 +97,8 @@ def planar4_family(beta: int) -> Drawing:
     """
     if beta < 1:
         raise ValueError("beta must be at least 1")
-    edges = set()
-    for b in range(1, beta + 1):
-        lo = 2 * b - 1
-        for i in range(lo, lo + 3):
-            for x in range(lo, lo + 3):
-                edges.add((i, x))
     side = 2 * beta + 1
-    return Drawing(side, side, frozenset(edges))
+    return Drawing(side, side, frozenset(_k33_chain(beta)))
 
 
 def _middle_path(beta: int, mirrored: bool) -> list[Edge]:
@@ -114,10 +120,10 @@ def planar5_family(beta: int) -> Drawing:
     """
     if beta < 2:
         raise ValueError("beta must be at least 2")
-    base = planar4_family(beta)
-    edges = set(base.edges)
+    edges = _k33_chain(beta)
     edges.update(_middle_path(beta, mirrored=False))
-    return Drawing(base.p, base.q, frozenset(edges))
+    side = 2 * beta + 1
+    return Drawing(side, side, frozenset(edges))
 
 
 def planar6_family(beta: int) -> Drawing:
@@ -127,10 +133,11 @@ def planar6_family(beta: int) -> Drawing:
     """
     if beta < 2:
         raise ValueError("beta must be at least 2")
-    base = planar5_family(beta)
-    edges = set(base.edges)
+    edges = _k33_chain(beta)
+    edges.update(_middle_path(beta, mirrored=False))
     edges.update(_middle_path(beta, mirrored=True))
-    return Drawing(base.p, base.q, frozenset(edges))
+    side = 2 * beta + 1
+    return Drawing(side, side, frozenset(edges))
 
 
 def band_offset(k: int) -> int:

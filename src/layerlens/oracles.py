@@ -140,7 +140,7 @@ def brute_force_bags(d: Drawing) -> list[frozenset[tuple[str, int]]]:
     endpoints plus every bottom vertex v_y that is incident to an edge
     crossing it and whose first and last positions in the order strictly
     enclose the edge's position.  Quadratic in the edge count."""
-    order = sorted(d.edges)
+    order = d.sorted_edges()
     first: dict[int, int] = {}
     last: dict[int, int] = {}
     for pos, (_, x) in enumerate(order, 1):

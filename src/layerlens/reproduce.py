@@ -4,7 +4,9 @@ Each ``check_*`` function covers one acceptance criterion and returns
 rows with expected versus actual values; ``run_all`` chains them.
 Criteria 2, 5 and 7 read one summary per family instance, which the
 caller passes in: ``run_all`` builds and profiles each instance once with
-``_family_summaries`` and hands the summaries to all three.  The random
+``_family_summaries`` and hands the summaries to all three.  It can also
+report the wall time of that pass and of each criterion, which
+``rows_to_json`` writes next to the rows.  The random
 inputs come from fixed master seeds, so every run sees the same drawings.
 """
 
@@ -22,7 +24,7 @@ from .decomposition import build_path_decomposition, validate_decomposition
 from .oracles import brute_force_mutually_crossing, brute_force_profile, connected_components
 from .search import KPlanar, Quasiplanar, max_density, minimax_k, complete_bipartite, random_drawing
 
-__all__ = ["CheckRow", "DENSITY_TABLE", "run_all", "rows_to_csv"]
+__all__ = ["CheckRow", "DENSITY_TABLE", "run_all", "rows_to_csv", "rows_to_json"]
 
 _BOUNDS_SEED = 52001
 _PATHWIDTH_SEED = 52002
@@ -290,20 +292,29 @@ def check_crossing_bounds(summaries: list[FamilySummary]) -> list[CheckRow]:
     return rows
 
 
-def check_pathwidth() -> list[CheckRow]:
-    """Criterion 6: the constructed decomposition validates and the width
-    stays within max-per-edge-crossings + 1."""
-    t0 = time.perf_counter()
-    bad = 0
-    first = ""
-    cases = [(label, d) for label, d, _ in _family_instances(10)]
+def _pathwidth_cases():
+    """(label, drawing) for criterion 6: the family instances up to size
+    10, then the seeded random drawings, each made when it is reached."""
+    for label, d, _ in _family_instances(10):
+        yield label, d
     rng = random.Random(_PATHWIDTH_SEED)
     for idx in range(_PATHWIDTH_SAMPLES):
         p = rng.randint(1, 8)
         q = rng.randint(1, 8)
         m = rng.randint(1, p * q)
-        cases.append((f"random[{idx}]", random_drawing(p, q, m, rng.randrange(2**32))))
-    for label, d in cases:
+        yield f"random[{idx}]", random_drawing(p, q, m, rng.randrange(2**32))
+
+
+def check_pathwidth() -> list[CheckRow]:
+    """Criterion 6: the constructed decomposition validates and the width
+    stays within max-per-edge-crossings + 1.  Each drawing is checked as
+    it is made, so none is kept."""
+    t0 = time.perf_counter()
+    bad = 0
+    first = ""
+    count = 0
+    for label, d in _pathwidth_cases():
+        count += 1
         pd = build_path_decomposition(d)
         rep = validate_decomposition(d, pd)
         cap = crossing_profile(d).max_per_edge + 1
@@ -314,7 +325,7 @@ def check_pathwidth() -> list[CheckRow]:
     return [
         CheckRow(
             "6",
-            f"path decompositions on {len(cases)} drawings (P.1-P.4, width <= k+1)",
+            f"path decompositions on {count} drawings (P.1-P.4, width <= k+1)",
             "0 failures",
             f"{bad} failures" + (f" (first: {first})" if first else ""),
             bad == 0,
@@ -398,19 +409,40 @@ def check_oracle_equivalence() -> list[CheckRow]:
     ]
 
 
-def run_all(threads: int = 1) -> list[CheckRow]:
-    """All criteria in order; every row independent of thread count."""
+def run_all(threads: int = 1, elapsed: dict[str, float] | None = None) -> list[CheckRow]:
+    """All criteria in order; every row independent of thread count.
+
+    When ``elapsed`` is given, it receives the wall seconds of the shared
+    family pass under "families" and of each criterion under "1" to "8".
+    """
+    times = {} if elapsed is None else elapsed
+    start = time.perf_counter()
     summaries = _family_summaries()
+    times["families"] = time.perf_counter() - start
+    steps = (
+        ("1", lambda: check_density_table(threads=threads)),
+        ("2", lambda: check_families(summaries)),
+        ("3", check_minimax),
+        ("4", check_constants),
+        ("5", lambda: check_crossing_bounds(summaries)),
+        ("6", check_pathwidth),
+        ("7", lambda: check_relationship(summaries)),
+        ("8", check_oracle_equivalence),
+    )
     rows: list[CheckRow] = []
-    rows += check_density_table(threads=threads)
-    rows += check_families(summaries)
-    rows += check_minimax()
-    rows += check_constants()
-    rows += check_crossing_bounds(summaries)
-    rows += check_pathwidth()
-    rows += check_relationship(summaries)
-    rows += check_oracle_equivalence()
+    for criterion, step in steps:
+        start = time.perf_counter()
+        rows += step()
+        times[criterion] = time.perf_counter() - start
     return rows
+
+
+_FIELDS = ("criterion", "case", "expected", "actual", "pass")
+
+
+def _cells(r: CheckRow) -> tuple[str, str, str, str, str]:
+    """A row's values as the CSV writes them, in ``_FIELDS`` order."""
+    return r.criterion, r.case, r.expected, r.actual, "pass" if r.passed else "FAIL"
 
 
 def rows_to_csv(rows: list[CheckRow]) -> str:
@@ -419,9 +451,12 @@ def rows_to_csv(rows: list[CheckRow]) -> str:
             return '"' + s.replace('"', '""') + '"'
         return s
 
-    out = ["criterion,case,expected,actual,pass"]
-    for r in rows:
-        out.append(
-            ",".join([r.criterion, quote(r.case), quote(r.expected), quote(r.actual), "pass" if r.passed else "FAIL"])
-        )
+    out = [",".join(_FIELDS)]
+    out.extend(",".join(map(quote, _cells(r))) for r in rows)
     return "\n".join(out) + "\n"
+
+
+def rows_to_json(rows: list[CheckRow], elapsed: dict[str, float]) -> dict:
+    """The rows as objects keyed by the CSV's header, with the CSV's cell
+    strings, and the wall seconds of each part of the run."""
+    return {"rows": [dict(zip(_FIELDS, _cells(r))) for r in rows], "elapsed_s": elapsed}

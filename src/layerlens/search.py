@@ -55,7 +55,7 @@ import time
 from collections.abc import Callable
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import permutations, repeat
+from itertools import permutations, product, repeat
 
 from .core import Drawing, Edge, _is_int
 
@@ -147,7 +147,8 @@ class SearchResult:
 
 
 def _grid_cells(p: int, q: int) -> list[Edge]:
-    return [(i, x) for i in range(1, p + 1) for x in range(1, q + 1)]
+    """Every cell of the p x q grid in lexicographic order."""
+    return list(product(range(1, p + 1), range(1, q + 1)))
 
 
 def _cross_masks(cells: list[Edge]) -> list[int]:

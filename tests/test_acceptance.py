@@ -6,6 +6,8 @@ Criteria 1-8 run through the reproduction checks; criterion 9 drives the
 
 from __future__ import annotations
 
+import hashlib
+import re
 import subprocess
 import sys
 
@@ -98,6 +100,13 @@ def test_run_all_builds_each_family_instance_once(monkeypatch):
     assert calls == 482 + 82
 
 
+# the "actual" cell of each "... runtime" row, the one part of the CSV that
+# varies between runs; a quoted case such as "K_{2,4} runtime" included
+_RUNTIME_CELL = re.compile(r'^(\d+,(?:"[^"\n]* runtime"|[^,"\n]* runtime),[^,\n]*),[^,\n]*,', re.M)
+# sha256 of the reproduce stdout with the three runtime cells masked as "*"
+_REPRODUCE_SHA256 = "69b9987f40718511c175bd07751edc8429fc2cad0181a5d236cebf71ddc4f624"
+
+
 def test_criterion_9_reproduce_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "layerlens.cli", "reproduce"],
@@ -112,3 +121,6 @@ def test_criterion_9_reproduce_cli():
     assert all(line.endswith(",pass") for line in lines[1:-1])
     assert lines[-1] == f"all {len(lines) - 2} checks pass"
     assert ok, proc.stderr
+    masked, runtime_cells = _RUNTIME_CELL.subn(r"\1,*,", proc.stdout)
+    assert runtime_cells == 3
+    assert hashlib.sha256(masked.encode()).hexdigest() == _REPRODUCE_SHA256

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from layerlens.bounds import (
     density_lower_bound_general,
     density_threshold,
     density_upper_bound,
+    load_table,
     quasiplanar_threshold,
     small_k_density_bound,
     table_from_json,
@@ -33,6 +35,10 @@ class TestDefaultTable:
         assert t.alpha_sum == Fraction(125, 12)
         assert t.beta[5] == Fraction(9, 2)
         assert t.beta_sum == Fraction(101, 6)
+
+    def test_one_shared_instance(self):
+        assert default_table() is default_table()
+        assert default_table() == CoefficientTable(default_table().alpha, default_table().beta)
 
     def test_row_bounds(self):
         assert small_k_density_bound(1, 6) == Fraction(7)
@@ -181,3 +187,19 @@ class TestTableJson:
     def test_accepts_finite_numbers(self):
         t = table_from_json({"alpha": [1, 1.5], "beta": [0, 2]})
         assert (t.alpha, t.beta) == ((Fraction(1), Fraction(3, 2)), (Fraction(0), Fraction(2)))
+
+    def test_loaded_tables_get_their_own_constants(self, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text('{"alpha": ["1", "5/2"], "beta": ["1/3", "2"]}', encoding="utf-8")
+        t = load_table(str(path))
+        # read twice: the second read is the kept value
+        for _ in range(2):
+            assert t.alpha_sum == Fraction(7, 2)
+            assert t.beta_sum == Fraction(7, 3)
+            assert density_threshold(t) == 3 * Fraction(7, 2) / 4
+            assert crossing_lemma_coefficient(t) == Fraction(4 * 8, 27) / Fraction(49, 4)
+            assert auxiliary_lower_bound(10, 20, t) == 2 * 20 - Fraction(7, 2) * 10 + Fraction(7, 3)
+        assert t == table_from_json(json.loads(path.read_text(encoding="utf-8")))
+        # the default table's constants are unchanged by another table's
+        assert density_threshold() == Fraction(125, 48)
+        assert crossing_lemma_coefficient() == Fraction(4608, 15625)

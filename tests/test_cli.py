@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import re
 import tracemalloc
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerlens import cli, core
+from layerlens import reproduce as rep
 from layerlens.cli import analyze_drawing, main
 from layerlens.core import Drawing, brick_decomposition, drawing_from_json, drawing_to_json, save_drawing
 from layerlens.decomposition import build_path_decomposition, decomposition_to_json
@@ -492,3 +495,39 @@ def test_bad_threads_variable_is_usage_error(capsys, monkeypatch, value):
     assert captured.out == ""
     assert "LAYERLENS_THREADS" in captured.err
 
+
+
+def test_reproduce_json_rows_equal_the_csv_rows(capsys, tmp_path):
+    out = tmp_path / "rows.csv"
+    assert main(["reproduce", "--json", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert captured.out == json.dumps(data, indent=2) + "\n"
+    # the --out file holds the CSV of the same run, runtime cells included
+    with open(out, encoding="utf-8", newline="") as f:
+        assert data["rows"] == list(csv.DictReader(f))
+    assert list(data["elapsed_s"]) == ["families", *map(str, range(1, 9))]
+    assert all(isinstance(v, float) and v >= 0 for v in data["elapsed_s"].values())
+
+
+@pytest.mark.parametrize("passed", [True, False])
+def test_reproduce_json_keeps_the_exit_codes(capsys, monkeypatch, passed):
+    rows = [rep.CheckRow("1", "a, quoted \"case\"", "1", "1", True), rep.CheckRow("2", "b", "0", "0", passed)]
+
+    def run_all(threads=1, elapsed=None):
+        elapsed.update({"families": 0.5, "1": 0.25})
+        return rows
+
+    monkeypatch.setattr(rep, "run_all", run_all)
+    want = 0 if passed else 3
+    assert main(["reproduce"]) == want
+    captured = capsys.readouterr()
+    summary = "all 2 checks pass\n" if passed else ""
+    assert captured.out == rep.rows_to_csv(rows) + summary
+    assert main(["reproduce", "--json"]) == want
+    json_captured = capsys.readouterr()
+    assert json_captured.err == captured.err == ("" if passed else "1 of 2 checks FAILED\n")
+    data = json.loads(json_captured.out)
+    assert data["elapsed_s"] == {"families": 0.5, "1": 0.25}
+    assert data["rows"] == list(csv.DictReader(io.StringIO(rep.rows_to_csv(rows))))
+    assert data["rows"][1]["pass"] == ("pass" if passed else "FAIL")

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 import re
 import tracemalloc
 from enum import IntEnum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from layerlens.core import (
@@ -109,6 +111,120 @@ class TestDrawing:
             drawing_from_json({"p": 2, "q": 2, "edges": [[1]]})
         with pytest.raises(ValueError):
             drawing_from_json({"p": 2, "q": 2, "edges": [[1, 1], [1, 1]]})
+
+
+class Index(IntEnum):
+    ONE = 1
+    TWO = 2
+    THREE = 3
+
+
+def reference_edges(p: int, q: int, edges) -> frozenset:
+    """Drawing's edge validation one edge at a time, as it ran before the
+    fast path: the frozenset a drawing stores, or the error it raises."""
+    if not isinstance(edges, frozenset):
+        edges = [tuple(e) for e in edges]
+    def is_int(c) -> bool:
+        return isinstance(c, int) and not isinstance(c, bool)
+
+    for e in edges:
+        if len(e) != 2 or not (is_int(e[0]) and is_int(e[1])):
+            raise ValueError(f"edge {e!r} is not a pair of integers")
+        i, x = e
+        if not (1 <= i <= p and 1 <= x <= q):
+            raise ValueError(f"edge {e} lies outside the {p}x{q} grid")
+    frozen = frozenset(edges)
+    if len(frozen) != len(edges):
+        raise ValueError("duplicate edges are not allowed")
+    return frozen
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def edge_inputs(draw):
+    """(p, q, edges): lists or frozensets of grid pairs in which up to two
+    edges are odd.  Odd coordinates are 0, p + 1, q + 1, big ints, bools,
+    IntEnum members, floats, strs and None; odd edges are pairs with one
+    or two of them, 1- and 3-tuples, and list and frozenset edges.  List
+    input may repeat an edge."""
+    p = draw(st.integers(1, 4))
+    q = draw(st.integers(1, 4))
+    pair = st.tuples(st.integers(1, p), st.integers(1, q))
+    odd_coord = st.one_of(
+        st.sampled_from([0, p + 1, q + 1]),
+        st.sampled_from([-1, 2**70, True, False, *Index, "1", None]),
+        st.floats(-1, 5, allow_nan=False),
+    )
+    coord = st.one_of(st.integers(1, 4), odd_coord)
+    odd_edge = st.one_of(
+        st.tuples(odd_coord, st.integers(1, q)),
+        st.tuples(st.integers(1, p), odd_coord),
+        st.tuples(coord, coord),
+        st.tuples(coord),
+        st.tuples(coord, coord, coord),
+        st.frozensets(st.integers(1, 4), min_size=1, max_size=3),
+    )
+    edges = draw(st.lists(pair, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        edges.insert(draw(st.integers(0, len(edges))), draw(odd_edge))
+    if draw(st.booleans()):
+        return p, q, frozenset(edges)
+    if draw(st.booleans()):
+        # list edges are unhashable, so only list input can hold them
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.lists(coord, min_size=1, max_size=3)))
+    if edges and draw(st.booleans()):
+        edges.append(edges[draw(st.integers(0, len(edges) - 1))])
+    return p, q, edges
+
+
+@given(edge_inputs())
+@example((2, 3, [(1, 1), (1, 4)]))
+@example((2, 3, [(0, 1), (2, 3)]))
+@example((2, 3, frozenset([(3, 1), (1, 1)])))
+@example((2, 3, frozenset([(1, 0)])))
+@example((2, 3, [(1, 2**70)]))
+@example((2, 3, [(1, True)]))
+@example((2, 3, [(Index.TWO, 3), (1, 2)]))
+@example((2, 3, frozenset([(1, Index.THREE)])))
+@example((2, 3, [(1, 1), (1.0, 2)]))
+@example((2, 3, [(1, 1), (1, 1)]))
+@example((2, 3, [(1, 1), (3, 1), (1, 1)]))
+@example((2, 3, frozenset([frozenset([1, 2])])))
+@example((2, 3, [[1, 2], [2, 3, 1]]))
+@settings(max_examples=400, deadline=None)
+def test_drawing_validates_like_the_per_edge_reference(case):
+    p, q, edges = case
+    want = _outcome(lambda: reference_edges(p, q, edges))
+    got = _outcome(lambda: Drawing(p, q, edges).edges)
+    assert got == want
+    if isinstance(want, frozenset):
+        assert Drawing(p, q, edges).sorted_edges() == sorted(want)
+
+
+def test_kept_edge_order_is_invisible():
+    d = random_drawing(6, 7, 20, 3)
+    fresh = Drawing(6, 7, frozenset(d.edges))
+    first = d.sorted_edges()
+    assert first == sorted(d.edges)
+    first.reverse()
+    first.append((1, 1))
+    assert d.sorted_edges() == sorted(d.edges)
+    assert d.sorted_edges() is not d.sorted_edges()
+    assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(d, proto) == pickle.dumps(fresh, proto)
+        back = pickle.loads(pickle.dumps(d, proto))
+        assert back == d and back.sorted_edges() == sorted(d.edges)
+    for other in (dataclasses.replace(d), d.transpose().transpose(), d.rotate().rotate()):
+        assert other == d and other.sorted_edges() == sorted(d.edges)
+    swapped = dataclasses.replace(d, p=7, edges=frozenset([(7, 1)]))
+    assert swapped.sorted_edges() == [(7, 1)]
 
 
 # ---------------------------------------------------------------------------
