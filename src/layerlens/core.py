@@ -335,6 +335,13 @@ def drawing_to_json(d: Drawing) -> dict:
     return {"p": d.p, "q": d.q, "edges": [list(e) for e in d.sorted_edges()]}
 
 
+def _check_pairs(edges: list) -> None:
+    """Raise on the first edge that is not a list or tuple of length 2."""
+    for e in edges:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise ValueError(f"edge {e!r} is not an [i, x] pair")
+
+
 def drawing_from_json(data: dict) -> Drawing:
     """Parse the dict form; raises ValueError on malformed input, including
     JSON booleans where integers belong."""
@@ -346,9 +353,17 @@ def drawing_from_json(data: dict) -> Drawing:
     edges = data["edges"]
     if not isinstance(edges, list):
         raise ValueError("edges must be a list of [i, x] pairs")
-    for e in edges:
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise ValueError(f"edge {e!r} is not an [i, x] pair")
+    # Exact lists and tuples go to Drawing first, so a valid file skips the
+    # per-edge pair check; it runs only when Drawing rejects them, to report
+    # a malformed edge ahead of Drawing's message.  Other edge types are
+    # checked first, as Drawing would take a two-key dict or a set as a pair.
+    if set(map(type, edges)) <= {list, tuple}:
+        try:
+            return Drawing(data["p"], data["q"], edges)
+        except (ValueError, TypeError):
+            _check_pairs(edges)
+            raise
+    _check_pairs(edges)
     return Drawing(data["p"], data["q"], edges)
 
 

@@ -2,20 +2,23 @@
 
 Each ``check_*`` function covers one acceptance criterion and returns
 rows with expected versus actual values; ``run_all`` chains them.
-Criteria 2, 5 and 7 read one summary per family instance, which the
-caller passes in: ``run_all`` builds and profiles each instance once with
-``_family_summaries`` and hands the summaries to all three.  It can also
-report the wall time of that pass and of each criterion, which
-``rows_to_json`` writes next to the rows.  The random
-inputs come from fixed master seeds, so every run sees the same drawings.
+Criteria 2, 5, 6 and 7 read one summary per family instance, which the
+caller passes in: ``run_all`` builds, profiles and decomposes each
+instance once with ``_family_summaries`` and hands the summaries to all
+four.  It can also report the wall time of that pass and of each
+criterion, which ``rows_to_json`` writes next to the rows.  Criteria 5 to
+8 draw their random inputs from ``_random_drawings`` with fixed master
+seeds, so every run sees the same drawings.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import bounds as bnd
 from . import families as fam
@@ -89,6 +92,7 @@ def check_density_table(threads: int = 1) -> list[CheckRow]:
 
 _BAND_KS = (2, 8, 18, 32, 50)
 _FAMILY_MAX_SIZE = 50
+_PATHWIDTH_MAX_SIZE = 10  # criterion 6 decomposes the family instances up to this size
 # seeded random drawings checked by criteria 5, 6, 7 and 8
 _BOUNDS_SAMPLES = 500
 _PATHWIDTH_SAMPLES = 500
@@ -99,9 +103,9 @@ _ORACLE_SAMPLES = 1000
 _BRUTE_MAX_M = 150
 
 
-def _family_instances(max_size: int):
+def _family_instances():
     """(label, drawing, spec) for every registry family at every size up
-    to max_size, the band family once for each k in _BAND_KS."""
+    to _FAMILY_MAX_SIZE, the band family once for each k in _BAND_KS."""
     for name, family in fam.FAMILIES.items():
         if family.min_size is None:
             specs = [(f"{name}()", fam.FamilySpec(name))]
@@ -109,10 +113,11 @@ def _family_instances(max_size: int):
             specs = [
                 (f"{name}(p={p}, k={k})", fam.FamilySpec(name, p, k=k))
                 for k in _BAND_KS
-                for p in range(fam.min_size(name, k), max_size + 1)
+                for p in range(fam.min_size(name, k), _FAMILY_MAX_SIZE + 1)
             ]
         else:
-            specs = [(f"{name}({size})", fam.FamilySpec(name, size)) for size in range(family.min_size, max_size + 1)]
+            sizes = range(family.min_size, _FAMILY_MAX_SIZE + 1)
+            specs = [(f"{name}({size})", fam.FamilySpec(name, size)) for size in sizes]
         for label, spec in specs:
             yield label, fam.generate(spec), spec
 
@@ -121,10 +126,30 @@ def _is_connected(d: Drawing) -> bool:
     return len(connected_components(d.p, d.q, d.edges)[0]) == 1
 
 
+def _random_drawings(seed: int, low: int, high: int, edges: Callable[[int, int], tuple[int, int]]) -> Iterator[Drawing]:
+    """Seeded random drawings without end: p and q uniform in low..high,
+    the edge count uniform in the inclusive range ``edges(p, q)``, then
+    the drawing's own seed, all from one master ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    while True:
+        p = rng.randint(low, high)
+        q = rng.randint(low, high)
+        m = rng.randint(*edges(p, q))
+        yield random_drawing(p, q, m, rng.randrange(2**32))
+
+
+def _pathwidth_ok(d: Drawing, max_per_edge: int) -> bool:
+    """Criterion 6 on one drawing: the constructed decomposition validates
+    and its width stays within max-per-edge-crossings + 1."""
+    pd = build_path_decomposition(d)
+    return validate_decomposition(d, pd).valid and pd.width <= max_per_edge + 1
+
+
 @dataclass(frozen=True)
 class FamilySummary:
-    """What criteria 2, 5 and 7 read off one family instance, so that each
-    instance is built and profiled once per run and no drawing is kept."""
+    """What criteria 2, 5, 6 and 7 read off one family instance, so that
+    each instance is built, profiled and decomposed once per run and no
+    drawing is kept."""
 
     label: str
     spec: fam.FamilySpec
@@ -136,13 +161,14 @@ class FamilySummary:
     connected: bool
     mutually_crossing: int
     special_s: bool | None  # _linear_miss_special_s; criterion 5 reads it on dense instances
+    pathwidth_ok: bool | None  # _pathwidth_ok, for sizes <= _PATHWIDTH_MAX_SIZE
 
 
 def _family_summaries() -> list[FamilySummary]:
-    """One pass over the family instances up to size 50."""
+    """One pass over the family instances up to _FAMILY_MAX_SIZE."""
     table = bnd.default_table()
     out = []
-    for label, d, spec in _family_instances(_FAMILY_MAX_SIZE):
+    for label, d, spec in _family_instances():
         prof = crossing_profile(d)
         out.append(
             FamilySummary(
@@ -156,6 +182,7 @@ def _family_summaries() -> list[FamilySummary]:
                 _is_connected(d),
                 mutually_crossing_number(d),
                 _linear_miss_special_s(d, prof.total, table),
+                _pathwidth_ok(d, prof.max_per_edge) if spec.size <= _PATHWIDTH_MAX_SIZE else None,
             )
         )
     return out
@@ -249,14 +276,9 @@ def check_crossing_bounds(summaries: list[FamilySummary]) -> list[CheckRow]:
     cases = [
         (s.label, s.n, s.m, s.total, s.special_s) for s in summaries if Fraction(s.m) >= threshold * s.n
     ]
-    rng = random.Random(_BOUNDS_SEED)
-    for idx in range(_BOUNDS_SAMPLES):
-        p = rng.randint(6, 8)
-        q = rng.randint(6, 8)
-        n = p + q
-        m_lo = -((-125 * n) // 48)  # ceil
-        m = rng.randint(m_lo, p * q)
-        d = random_drawing(p, q, m, rng.randrange(2**32))
+    # at least ceil(125 n / 48) edges
+    dense = _random_drawings(_BOUNDS_SEED, 6, 8, lambda p, q: (-((-125 * (p + q)) // 48), p * q))
+    for idx, d in enumerate(islice(dense, _BOUNDS_SAMPLES)):
         total = crossing_profile(d).total
         cases.append((f"random[{idx}]", d.n, d.m, total, _linear_miss_special_s(d, total, table)))
 
@@ -292,43 +314,24 @@ def check_crossing_bounds(summaries: list[FamilySummary]) -> list[CheckRow]:
     return rows
 
 
-def _pathwidth_cases():
-    """(label, drawing) for criterion 6: the family instances up to size
-    10, then the seeded random drawings, each made when it is reached."""
-    for label, d, _ in _family_instances(10):
-        yield label, d
-    rng = random.Random(_PATHWIDTH_SEED)
-    for idx in range(_PATHWIDTH_SAMPLES):
-        p = rng.randint(1, 8)
-        q = rng.randint(1, 8)
-        m = rng.randint(1, p * q)
-        yield f"random[{idx}]", random_drawing(p, q, m, rng.randrange(2**32))
-
-
-def check_pathwidth() -> list[CheckRow]:
-    """Criterion 6: the constructed decomposition validates and the width
-    stays within max-per-edge-crossings + 1.  Each drawing is checked as
-    it is made, so none is kept."""
+def check_pathwidth(summaries: list[FamilySummary]) -> list[CheckRow]:
+    """Criterion 6 on the family instances up to _PATHWIDTH_MAX_SIZE, read
+    off their summaries, then on seeded random drawings, each checked as it is made
+    so that none is kept."""
     t0 = time.perf_counter()
-    bad = 0
-    first = ""
-    count = 0
-    for label, d in _pathwidth_cases():
-        count += 1
-        pd = build_path_decomposition(d)
-        rep = validate_decomposition(d, pd)
-        cap = crossing_profile(d).max_per_edge + 1
-        if not rep.valid or pd.width > cap:
-            bad += 1
-            first = first or label
+    cases = [(s.label, s.pathwidth_ok) for s in summaries if s.pathwidth_ok is not None]
+    drawings = _random_drawings(_PATHWIDTH_SEED, 1, 8, lambda p, q: (1, p * q))
+    for idx, d in enumerate(islice(drawings, _PATHWIDTH_SAMPLES)):
+        cases.append((f"random[{idx}]", _pathwidth_ok(d, crossing_profile(d).max_per_edge)))
+    failed = [label for label, ok in cases if not ok]
     elapsed = time.perf_counter() - t0
     return [
         CheckRow(
             "6",
-            f"path decompositions on {count} drawings (P.1-P.4, width <= k+1)",
+            f"path decompositions on {len(cases)} drawings (P.1-P.4, width <= k+1)",
             "0 failures",
-            f"{bad} failures" + (f" (first: {first})" if first else ""),
-            bad == 0,
+            f"{len(failed)} failures" + (f" (first: {failed[0]})" if failed else ""),
+            not failed,
         ),
         CheckRow("6", "pathwidth runtime", "< 30 s", f"{elapsed:.1f} s", elapsed < 30),
     ]
@@ -340,14 +343,8 @@ def check_relationship(summaries: list[FamilySummary]) -> list[CheckRow]:
     drawing's own profile maximum; family instances ride along."""
     # (label, per-edge maximum, mutually crossing number)
     cases = [(s.label, s.max_per_edge, s.mutually_crossing) for s in summaries if s.connected]
-    rng = random.Random(_RELATION_SEED)
     produced = 0
-    while produced < _RELATION_SAMPLES:
-        p = rng.randint(2, 8)
-        q = rng.randint(2, 8)
-        n = p + q
-        m = rng.randint(n - 1, min(p * q, 3 * n))
-        d = random_drawing(p, q, m, rng.randrange(2**32))
+    for d in _random_drawings(_RELATION_SEED, 2, 8, lambda p, q: (p + q - 1, min(p * q, 3 * (p + q)))):
         if not _is_connected(d):
             continue
         k = crossing_profile(d).max_per_edge
@@ -355,6 +352,8 @@ def check_relationship(summaries: list[FamilySummary]) -> list[CheckRow]:
             continue
         produced += 1
         cases.append((f"random[{produced}]", k, mutually_crossing_number(d)))
+        if produced == _RELATION_SAMPLES:
+            break
     bad = 0
     first = ""
     for label, k, mcn in cases:
@@ -378,13 +377,9 @@ def check_relationship(summaries: list[FamilySummary]) -> list[CheckRow]:
 def check_oracle_equivalence() -> list[CheckRow]:
     """Criterion 8: the fast crossing profile and the subsequence-based
     mutually crossing number agree with the naive oracles."""
-    rng = random.Random(_ORACLE_SEED)
     profile_bad = mcn_bad = 0
-    for _ in range(_ORACLE_SAMPLES):
-        p = rng.randint(1, 8)
-        q = rng.randint(1, 8)
-        m = rng.randint(0, min(20, p * q))
-        d = random_drawing(p, q, m, rng.randrange(2**32))
+    drawings = _random_drawings(_ORACLE_SEED, 1, 8, lambda p, q: (0, min(20, p * q)))
+    for d in islice(drawings, _ORACLE_SAMPLES):
         fast = crossing_profile(d)
         slow = brute_force_profile(d)
         if fast.per_edge != slow.per_edge or fast.total != slow.total or fast.max_per_edge != slow.max_per_edge:
@@ -425,7 +420,7 @@ def run_all(threads: int = 1, elapsed: dict[str, float] | None = None) -> list[C
         ("3", check_minimax),
         ("4", check_constants),
         ("5", lambda: check_crossing_bounds(summaries)),
-        ("6", check_pathwidth),
+        ("6", lambda: check_pathwidth(summaries)),
         ("7", lambda: check_relationship(summaries)),
         ("8", check_oracle_equivalence),
     )

@@ -269,7 +269,9 @@ def _search_split(
     cross = _cross_masks(cells)
     future = [((1 << n_cells) - 1) >> pos << pos for pos in range(n_cells + 1)]
     if isinstance(constraint, KPlanar):
-        include, start = _kplanar_include(constraint.k, cross)
+        # no cell crosses more than (p - 1)(q - 1) others, so a larger k
+        # allows the same drawings; clamped, the state no longer grows with k
+        include, start = _kplanar_include(min(constraint.k, (p - 1) * (q - 1)), cross)
     else:
         include, start = _quasiplanar_include(constraint.h, cross)
     nodes = 0
@@ -528,12 +530,12 @@ def random_drawing(p: int, q: int, m: int, seed: int) -> Drawing:
 
     Deterministic: a Mersenne Twister (``random.Random(seed)``) samples an
     m-subset of the grid cells listed in lexicographic order, so the same
-    seed always yields the same drawing.
+    seed always yields the same drawing.  It samples the cells' indices,
+    which picks the same cells without building the list of all p * q.
     """
     if m > p * q:
         raise ValueError(f"m={m} exceeds the grid capacity {p * q}")
     if m < 0:
         raise ValueError("m must be non-negative")
-    rng = random.Random(seed)
-    cells = _grid_cells(p, q)
-    return Drawing(p, q, frozenset(rng.sample(cells, m)))
+    picks = random.Random(seed).sample(range(p * q), m)
+    return Drawing(p, q, frozenset([(j // q + 1, j % q + 1) for j in picks]))

@@ -7,6 +7,7 @@ Criteria 1-8 run through the reproduction checks; criterion 9 drives the
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from layerlens.core import Drawing
 
 @pytest.fixture(scope="module")
 def summaries() -> list[rep.FamilySummary]:
-    """The family summaries criteria 2, 5 and 7 share, built once."""
+    """The family summaries criteria 2, 5, 6 and 7 share, built once."""
     return rep._family_summaries()
 
 
@@ -69,8 +70,8 @@ def test_special_s_window_scan():
                 assert not rep._contains_special_s(Drawing(6, 7, near)), (di, dx, cell)
 
 
-def test_criterion_6_pathwidth():
-    _report("6", rep.check_pathwidth())
+def test_criterion_6_pathwidth(summaries):
+    _report("6", rep.check_pathwidth(summaries))
 
 
 def test_criterion_7_quasiplanarity_relationship(summaries):
@@ -95,9 +96,24 @@ def test_run_all_builds_each_family_instance_once(monkeypatch):
     monkeypatch.setattr(rep, "check_density_table", lambda threads=1: [])
     monkeypatch.setattr(rep, "check_oracle_equivalence", lambda: [])
     assert all(r.passed for r in rep.run_all())
-    # one shared pass over the 482 instances up to size 50 for criteria 2, 5
-    # and 7, and the 82 up to size 10 that criterion 6 decomposes
-    assert calls == 482 + 82
+    # one shared pass over the 482 instances up to size 50 for criteria 2, 5,
+    # 6 and 7; criterion 6 reads the verdicts of the 82 up to size 10
+    assert calls == 482
+
+
+# sha256 of the rows of rows_to_json(run_all()) as json.dumps writes them,
+# the "actual" cell of the three runtime rows masked as "*"
+_RUN_ALL_ROWS_SHA256 = "6fb9cf1e951b4c12bafc9169aea394338d5a7917829233e7b0abbe3ce2f77cfd"
+
+
+def test_run_all_json_rows_are_pinned():
+    elapsed: dict[str, float] = {}
+    out = rep.rows_to_json(rep.run_all(elapsed=elapsed), elapsed)
+    masked = [{**r, "actual": "*"} if r["case"].endswith(" runtime") else r for r in out["rows"]]
+    assert len(masked) == 27
+    assert sum(r["actual"] == "*" for r in masked) == 3
+    assert hashlib.sha256(json.dumps(masked).encode()).hexdigest() == _RUN_ALL_ROWS_SHA256
+    assert sorted(out["elapsed_s"]) == ["1", "2", "3", "4", "5", "6", "7", "8", "families"]
 
 
 # the "actual" cell of each "... runtime" row, the one part of the CSV that

@@ -207,6 +207,64 @@ def test_drawing_validates_like_the_per_edge_reference(case):
         assert Drawing(p, q, edges).sorted_edges() == sorted(want)
 
 
+def reference_from_json(data) -> Drawing:
+    """drawing_from_json as it ran before it handed the edges to Drawing
+    first: every edge's shape checked, then the drawing built."""
+    if not isinstance(data, dict):
+        raise ValueError("drawing JSON must be an object")
+    for key in ("p", "q", "edges"):
+        if key not in data:
+            raise ValueError(f"drawing JSON is missing {key!r}")
+    edges = data["edges"]
+    if not isinstance(edges, list):
+        raise ValueError("edges must be a list of [i, x] pairs")
+    for e in edges:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise ValueError(f"edge {e!r} is not an [i, x] pair")
+    return Drawing(data["p"], data["q"], edges)
+
+
+@st.composite
+def json_inputs(draw):
+    """Drawing dicts whose p, q or edges may be bad: up to three odd edges
+    among grid pairs, an odd edge being a list of another length, a list
+    or tuple of odd coordinates, or a non-sequence that Drawing would
+    still read as a pair (a two-key dict, a set, bytes) or would not (a
+    str, an int, None)."""
+    p = draw(st.one_of(st.integers(1, 4), st.sampled_from([0, True, "2", None])))
+    q = draw(st.integers(1, 4))
+    top = p if type(p) is int and p > 0 else 3
+    pair = st.lists(st.integers(1, 4), min_size=2, max_size=2).filter(lambda e: e[0] <= top and e[1] <= q)
+    coord = st.one_of(st.integers(0, 5), st.sampled_from([True, 1.0, "1", None, Index.TWO]))
+    small = st.integers(1, 3)
+    odd_edge = st.one_of(
+        st.lists(coord, max_size=3),
+        st.tuples(coord, coord),
+        st.dictionaries(small, small, min_size=2, max_size=2),
+        st.dictionaries(st.sampled_from("ix"), small, min_size=2, max_size=2),
+        st.sets(small, min_size=2, max_size=2),
+        st.builds(bytes, st.lists(small, min_size=2, max_size=2)),
+        st.sampled_from(["12", 12, None]),
+    )
+    edges = draw(st.lists(pair, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        edges.insert(draw(st.integers(0, len(edges))), draw(odd_edge))
+    data = {"p": p, "q": q, "edges": edges if draw(st.integers(0, 9)) else tuple(edges)}
+    if not draw(st.integers(0, 9)):
+        del data[draw(st.sampled_from(["p", "q", "edges"]))]
+    return data
+
+
+@given(json_inputs())
+@example({"p": 2, "q": 2, "edges": [{1: 0, 2: 0}]})
+@example({"p": 2, "q": 2, "edges": [[1, "a"], [1, 2, 3]]})
+@example({"p": "2", "q": 2, "edges": [[1, 1], [1]]})
+@example({"p": 2, "q": 2, "edges": [[1, 1], (2, 2), b"\x01\x02"]})
+@settings(max_examples=400, deadline=None)
+def test_drawing_from_json_matches_the_shape_first_reference(data):
+    assert _outcome(lambda: drawing_from_json(data)) == _outcome(lambda: reference_from_json(data))
+
+
 def test_kept_edge_order_is_invisible():
     d = random_drawing(6, 7, 20, 3)
     fresh = Drawing(6, 7, frozenset(d.edges))

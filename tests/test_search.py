@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import random
+import tracemalloc
 from functools import cache
 from itertools import combinations
 
@@ -131,6 +133,21 @@ class TestMaxDensity:
         # with no crossing allowed the optimum is a spanning caterpillar
         for n in range(2, 9):
             assert max_density(n, KPlanar(0)).best_m == n - 1
+
+    def test_huge_k_searches_the_tree_of_the_grid_cap(self):
+        # no cell of a p x q grid crosses more than (p - 1)(q - 1) others, at
+        # most 4 at n = 6, so any larger k searches the same tree, and its
+        # state does not grow with k
+        tracemalloc.start()
+        try:
+            huge = max_density(6, KPlanar(10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capped = max_density(6, KPlanar(4))
+        assert (huge.best_m, huge.stats.nodes, huge.witness) == (capped.best_m, capped.stats.nodes, capped.witness)
+        assert huge.stats.splits == capped.stats.splits
+        assert peak < 1_000_000
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -465,6 +482,21 @@ class TestRandomDrawing:
             (1, 1), (1, 2), (1, 3), (2, 3), (3, 1), (3, 3), (4, 1), (4, 4),
         ]
         assert random_drawing(4, 4, 8, 7) == d
+
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            ((250, 250, 2000, 1), "9b5521811394d1bd3bd469741d6821d0d03be75a1a5cc1f2b1aa837e6cf1647f"),
+            ((400, 500, 100000, 1), "2a7c013911bccfdac2a76633c3a9d0d63bbb956682ebfbe5adb40d07e348d8fb"),
+            ((8, 8, 30, 5), "91d8a4ef30fd2bab0c8d2b2f5c7a5955583b97c4cc485a531d9c34e0dace46fc"),
+        ],
+    )
+    def test_pinned_edge_digests(self, args, digest):
+        # sha256 of repr(sorted edges), for the analyze-large input, the
+        # 100,000-edge CI input and a small one; any change to the sampling
+        # or to Random.sample across Python versions shows here
+        edges = random_drawing(*args).sorted_edges()
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
 
     def test_seeds_differ(self):
         draws = {random_drawing(5, 5, 10, s).edges for s in range(20)}
