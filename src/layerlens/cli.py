@@ -289,7 +289,7 @@ def _cmd_pathwidth(args: argparse.Namespace) -> int:
     d = _load(args.drawing)
     pd = build_path_decomposition(d)
     report = validate_decomposition(d, pd)
-    print(f"bags={len(pd.bags)} width={pd.width} orientation={pd.orientation} valid={report.valid}")
+    print(f"bags={pd.bag_count} width={pd.width} orientation={pd.orientation} valid={report.valid}")
     for prop, witness in report.violations:
         print(f"violated {prop}: {witness}")
     if args.out:

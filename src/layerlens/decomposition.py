@@ -12,18 +12,30 @@ positions in the order satisfy first[y] < pos < last[y].  Every active
 y other than the bottom end t of the pos-th edge e = (s, t) is related
 to e: if y > t, the first edge of y has a top index below s and crosses
 e; if y < t, the last edge of y has a top index above s and crosses e.
-So the bag of e is exactly {u_s, v_t} plus the active vertices, and one
-sweep that opens each vertex after its first position and closes it at
-its last builds all bags in O(m log m + sum of bag sizes), without
-testing edge pairs.  The largest bag is known from the sizes of the
-active sets alone, so ``path_width`` gives the width in O(m log m) time
-and O(m) memory without building a bag.
+So the bag of e is exactly {u_s, v_t} plus the active vertices.  The
+largest bag is known from the sizes of the active sets alone, so
+``path_width`` gives the width in O(m log m) time and O(m) memory.
+
+A built decomposition is recorded as the events of its sweep rather than
+as bags.  Between the bags of positions pos - 1 and pos, u_s leaves and
+the new top end enters when the top index changes, the previous bottom
+end leaves after its last position, and v_t enters at its first: at most
+two vertices leave and two enter.  The isolated vertices' singleton bags
+follow, each replacing the bag before it.  ``_transitions`` yields the
+(leaving, entering) pair of every bag: a built decomposition replays its
+events, and one made from bags, corrupted ones included, takes the two
+frozenset differences of each pair of neighbouring bags.  The validator
+and the JSON writer read only ``_transitions``, and ``bags`` replays the
+events once on first use.  Building, validating and writing the JSON
+then cost O(m log m + p + q) plus the size of the output, and no
+frozenset is made per bag unless ``bags`` is read.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, insort
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -49,16 +61,23 @@ def edge_order(d: Drawing) -> list[Edge]:
     return d.sorted_edges()
 
 
-def _sweep(order: list[Edge], tags: dict[int, Vertex]) -> Iterator[tuple[int, int, dict[int, Vertex]]]:
-    """Yield (s, t, active) for each edge (s, t) of the order, where
-    ``active`` maps each bottom vertex active at that position to its tag
-    ``tags[y]``.  The mapping is updated in place, so read it before
-    advancing."""
+def _spans(order: list[Edge]) -> tuple[dict[int, int], dict[int, int]]:
+    """The first and the last position (1-based) of each bottom vertex of
+    the order."""
     first: dict[int, int] = {}
     last: dict[int, int] = {}
     for pos, (_, y) in enumerate(order, 1):
         first.setdefault(y, pos)
         last[y] = pos
+    return first, last
+
+
+def _sweep(order: list[Edge], tags: dict[int, Vertex]) -> Iterator[tuple[int, int, dict[int, Vertex]]]:
+    """Yield (s, t, active) for each edge (s, t) of the order, where
+    ``active`` maps each bottom vertex active at that position to its tag
+    ``tags[y]``.  The mapping is updated in place, so read it before
+    advancing."""
+    first, last = _spans(order)
     active: dict[int, Vertex] = {}
     for pos, (s, t) in enumerate(order, 1):
         if last[t] == pos:
@@ -88,26 +107,142 @@ def related_vertices(d: Drawing, pos: int) -> set[int]:
     return active.keys() - {t}
 
 
-@dataclass(frozen=True)
+_Step = tuple[tuple[Vertex, ...], tuple[Vertex, ...]]  # (leaving, entering)
+
+
+@dataclass(frozen=True, eq=False)
+class _Events:
+    """What ``build_path_decomposition`` records instead of bags: one step
+    per edge bag, the vertices of the last edge bag, and the layer sizes
+    with the vertices that have edges, from which the isolated vertices'
+    singleton bags follow."""
+
+    steps: list[_Step]
+    final: tuple[Vertex, ...]
+    p: int
+    q: int
+    u_linked: Collection[int]
+    v_linked: Collection[int]
+    width: int
+
+    def isolated(self) -> Iterator[Vertex]:
+        yield from (("u", i) for i in range(1, self.p + 1) if i not in self.u_linked)
+        yield from (("v", x) for x in range(1, self.q + 1) if x not in self.v_linked)
+
+    def count(self) -> int:
+        return len(self.steps) + self.p - len(self.u_linked) + self.q - len(self.v_linked)
+
+
 class PathDecomposition:
     """An ordered list of bags; each vertex is tagged with its layer.
 
     ``orientation`` records which layer played the role of the primary
     (edge-ordering) layer when the decomposition was built: "top" for the
-    given drawing, "bottom" for its transpose.
+    given drawing, "bottom" for its transpose.  A built decomposition
+    keeps the events of its sweep and makes ``bags`` from them on first
+    use; two decompositions are equal when their bags and orientations
+    are.
     """
 
-    bags: tuple[frozenset[Vertex], ...]
-    orientation: str = "top"
+    __slots__ = ("_bags", "_orientation", "_events")
+
+    def __init__(self, bags: tuple[frozenset[Vertex], ...], orientation: str = "top") -> None:
+        self._bags = bags
+        self._orientation = orientation
+        self._events: _Events | None = None
+
+    @classmethod
+    def _built(cls, events: _Events, orientation: str) -> PathDecomposition:
+        pd = cls((), orientation)
+        pd._bags = None
+        pd._events = events
+        return pd
+
+    @property
+    def bags(self) -> tuple[frozenset[Vertex], ...]:
+        """The bags in order; a built decomposition replays its events
+        into them on first read."""
+        if self._bags is None:
+            current: set[Vertex] = set()
+            bags = []
+            for leaving, entering in _transitions(self):
+                current.difference_update(leaving)
+                current.update(entering)
+                bags.append(frozenset(current))
+            self._bags = tuple(bags)
+        return self._bags
+
+    @property
+    def orientation(self) -> str:
+        return self._orientation
+
+    @property
+    def bag_count(self) -> int:
+        """``len(bags)``, counted without making a bag."""
+        return len(self._bags) if self._events is None else self._events.count()
 
     @property
     def width(self) -> int:
         """Largest bag size minus one; -1 for an empty decomposition."""
-        return max((len(b) for b in self.bags), default=0) - 1
+        if self._events is not None:
+            return self._events.width
+        return max((len(b) for b in self._bags), default=0) - 1
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.bags, self.orientation) == (other.bags, other.orientation)
+
+    def __hash__(self) -> int:
+        return hash((self.bags, self.orientation))
+
+    def __repr__(self) -> str:
+        return f"PathDecomposition(bags={self.bags!r}, orientation={self.orientation!r})"
+
+
+def _transitions(pd: PathDecomposition) -> Iterator[tuple[Collection[Vertex], Collection[Vertex]]]:
+    """(leaving, entering) for each bag of pd in turn: the vertices of the
+    bag before it that it lacks (none before the first bag), and its
+    vertices that the bag before lacks.
+
+    A built decomposition replays the steps of its sweep, then one
+    singleton bag per isolated vertex; any other takes two frozenset
+    differences per bag."""
+    events = pd._events
+    if events is None:
+        prev: frozenset[Vertex] = frozenset()
+        for bag in pd.bags:
+            yield prev - bag, bag - prev
+            prev = bag
+        return
+    yield from events.steps
+    before = events.final
+    for vert in events.isolated():
+        bag = (vert,)
+        yield before, bag
+        before = bag
 
 
 def _largest_bag(order: list[Edge], tags: dict[int, Vertex]) -> int:
     return max(len(active) + 2 - (t in active) for _, t, active in _sweep(order, tags))
+
+
+def _steps(order: list[Edge], primary: dict[int, Vertex], secondary: dict[int, Vertex]) -> list[_Step]:
+    """The (leaving, entering) step of each bag of the sweep over a
+    non-empty order, from the first and last positions alone: the top end
+    leaves and enters when it changes, the previous bottom end leaves
+    after its last position and the new one enters at its first."""
+    first, last = _spans(order)
+    s, t = order[0]
+    steps: list[_Step] = [((), (primary[s], secondary[t]))]
+    for pos, ((ps, pt), (s, t)) in enumerate(zip(order, islice(order, 1, None)), 2):
+        leaving = (secondary[pt],) if last[pt] == pos - 1 else ()
+        entering = (secondary[t],) if first[t] == pos else ()
+        if s != ps:
+            leaving += (primary[ps],)
+            entering += (primary[s],)
+        steps.append((leaving, entering))
+    return steps
 
 
 def _orientations(d: Drawing) -> tuple[list[Edge], list[Edge], dict[int, Vertex], dict[int, Vertex]]:
@@ -137,21 +272,24 @@ def build_path_decomposition(d: Drawing) -> PathDecomposition:
     every edge has at most k crossings.
 
     The construction is asymmetric, so both layer orientations are swept
-    and the narrower one is built (ties go to the top layer); a bag's size
-    is known from the active set alone, so only the chosen orientation's
-    bags are materialized.  The cost is O(m log m + sum of bag sizes).
-    Isolated vertices get singleton bags at the end so that every vertex
-    is covered; an edgeless drawing has only those, and width 0.
+    and the narrower one is kept (ties go to the top layer); a bag's size
+    is known from the active set alone, so only the kept orientation's
+    steps are recorded.  The cost is O(m log m), plus O(p + q) for the
+    isolated vertices when the bags are walked.  Isolated vertices get
+    singleton bags at the end so that every vertex is covered; an
+    edgeless drawing has only those, and width 0.
     """
     top, bottom, u, v = _orientations(d)
-    if d.m and _largest_bag(bottom, u) < _largest_bag(top, v):
-        order, primary, secondary, orientation = bottom, v, u, "bottom"
+    if not d.m:
+        return PathDecomposition._built(_Events([], (), d.p, d.q, u, v, 0), "top")
+    top_size, bottom_size = _largest_bag(top, v), _largest_bag(bottom, u)
+    if bottom_size < top_size:
+        order, primary, secondary, orientation, size = bottom, v, u, "bottom", bottom_size
     else:
-        order, primary, secondary, orientation = top, u, v, "top"
-    bags = [frozenset((primary[s], secondary[t], *active.values())) for s, t, active in _sweep(order, secondary)]
-    bags += [frozenset({("u", i)}) for i in range(1, d.p + 1) if i not in u]
-    bags += [frozenset({("v", x)}) for x in range(1, d.q + 1) if x not in v]
-    return PathDecomposition(tuple(bags), orientation)
+        order, primary, secondary, orientation, size = top, u, v, "top", top_size
+    s, t = order[-1]
+    events = _Events(_steps(order, primary, secondary), (primary[s], secondary[t]), d.p, d.q, u, v, size - 1)
+    return PathDecomposition._built(events, orientation)
 
 
 @dataclass(frozen=True)
@@ -164,18 +302,40 @@ class DecompositionReport:
     violations: tuple[tuple[str, str], ...]
 
 
-def _runs_meet(a: list[list[int]], b: list[list[int]]) -> bool:
-    """True iff two sorted lists of disjoint [start, end] runs overlap."""
+# The end of a run still open after the last bag.
+_OPEN = sys.maxsize
+
+
+def _runs_meet(a: list[int], b: list[int]) -> bool:
+    """True iff two sorted flat lists of disjoint runs, start, end, start,
+    end and so on, overlap."""
     i = j = 0
     while i < len(a) and j < len(b):
-        (s1, e1), (s2, e2) = a[i], b[j]
+        s1, e1, s2, e2 = a[i], a[i + 1], b[j], b[j + 1]
         if s1 <= e2 and s2 <= e1:
             return True
         if e1 < e2:
-            i += 1
+            i += 2
         else:
-            j += 1
+            j += 2
     return False
+
+
+def _least(entries: Collection[object]) -> object:
+    """The smallest entry; entries that do not compare, such as a foreign
+    7 next to ("w", 3), are ordered by type name and then repr."""
+    try:
+        return min(entries)
+    except TypeError:
+        return min(entries, key=lambda entry: (type(entry).__name__, repr(entry)))
+
+
+def _name(entry: object) -> str:
+    """"u3" for ("u", 3); the repr of an entry that is not a pair."""
+    try:
+        return f"{entry[0]}{entry[1]}"
+    except (TypeError, IndexError, KeyError):
+        return repr(entry)
 
 
 def validate_decomposition(d: Drawing, pd: PathDecomposition) -> DecompositionReport:
@@ -185,47 +345,46 @@ def validate_decomposition(d: Drawing, pd: PathDecomposition) -> DecompositionRe
     bag; P.3 every edge has both endpoints in a common bag; P.4 the bags
     containing a vertex are consecutive.  Violations are reported, not
     raised, each with the first witness: the first offending bag for P.1,
-    and the smallest vertex or edge otherwise.
+    and the smallest vertex or edge otherwise.  A foreign bag entry that
+    is not a (layer, index) pair is a P.1 violation like any other.
 
-    One pass over the bags records, per vertex, the maximal runs of
-    consecutive bags holding it, from the vertices that enter and leave
-    between neighbouring bags.  P.1 is decided as vertices enter; P.2 to
-    P.4 are read off the record.
+    One pass over ``_transitions`` records, per vertex, the maximal runs
+    of consecutive bags holding it as one flat list of starts and ends,
+    from the vertices that enter and leave between neighbouring bags;
+    nothing is taken on trust from the builder.  P.1 is decided as
+    vertices enter; P.2 to P.4 are read off the record.
     """
     verts = {("u", i) for i in range(1, d.p + 1)} | {("v", x) for x in range(1, d.q + 1)}
     violations: list[tuple[str, str]] = []
 
-    runs: dict[Vertex, list[list[int]]] = {}
-    prev: frozenset[Vertex] = frozenset()
-    for idx, bag in enumerate(pd.bags):
-        entering = bag - prev
-        for vert in prev - bag:
-            runs[vert][-1][1] = idx - 1
+    runs: dict[Vertex, list[int]] = {}
+    for idx, (leaving, entering) in enumerate(_transitions(pd)):
+        for vert in leaving:
+            runs[vert][-1] = idx - 1
         for vert in entering:
-            runs.setdefault(vert, []).append([idx, idx])
+            where = runs.get(vert)
+            if where is None:
+                runs[vert] = [idx, _OPEN]
+            else:
+                where += (idx, _OPEN)
         # only P.1 is recorded during the pass; the first bag with a
         # foreign vertex is the first one where such a vertex enters
         if not violations and not verts.issuperset(entering):
-            who = min(entering - verts)
-            violations.append(("P.1", f"bag {idx + 1} contains {who[0]}{who[1]} not in the graph"))
-        prev = bag
-    for vert in prev:
-        runs[vert][-1][1] = len(pd.bags) - 1
+            who = _least([vert for vert in entering if vert not in verts])
+            violations.append(("P.1", f"bag {idx + 1} contains {_name(who)} not in the graph"))
 
     missing = verts.difference(runs)
     if missing:
-        who = min(missing)
-        violations.append(("P.2", f"vertex {who[0]}{who[1]} appears in no bag"))
+        violations.append(("P.2", f"vertex {_name(min(missing))} appears in no bag"))
 
     for i, x in d.sorted_edges():
         if not _runs_meet(runs.get(("u", i), []), runs.get(("v", x), [])):
             violations.append(("P.3", f"edge (u{i}, v{x}) has no common bag"))
             break
 
-    scattered = [vert for vert, where in runs.items() if len(where) > 1]
+    scattered = [vert for vert, where in runs.items() if len(where) > 2]
     if scattered:
-        who = min(scattered)
-        violations.append(("P.4", f"bags containing {who[0]}{who[1]} are not consecutive"))
+        violations.append(("P.4", f"bags containing {_name(_least(scattered))} are not consecutive"))
 
     return DecompositionReport(not violations, pd.width, tuple(violations))
 
@@ -235,22 +394,23 @@ def decomposition_to_json(pd: PathDecomposition) -> dict:
     width.
 
     Each vertex is labelled once, however many bags hold it.  One sorted
-    list of the current bag's labels is kept: between neighbouring bags
-    the leaving labels are deleted and the entering ones inserted by
+    list of the current bag's labels is kept: at each transition the
+    leaving labels are deleted and the entering ones inserted by
     bisection, and each bag is a copy of the list.  Between consecutive
     bags of a sweep at most two vertices leave and two enter, so the cost
     is O(sum of bag sizes) list copying rather than a sort per bag.  Any
     bags give ``sorted``'s lists, a label shared by two vertices, such as
     "u11" of ("u", 11) and ("u1", 1), included."""
-    labels = {vert: f"{vert[0]}{vert[1]}" for vert in frozenset().union(*pd.bags)}
+    labels: dict[Vertex, str] = {}
     bags = []
     current: list[str] = []
-    prev: frozenset[Vertex] = frozenset()
-    for bag in pd.bags:
-        for vert in prev - bag:
+    for leaving, entering in _transitions(pd):
+        for vert in leaving:
             del current[bisect_left(current, labels[vert])]
-        for vert in bag - prev:
-            insort(current, labels[vert])
+        for vert in entering:
+            label = labels.get(vert)
+            if label is None:
+                label = labels[vert] = f"{vert[0]}{vert[1]}"
+            insort(current, label)
         bags.append(current[:])
-        prev = bag
     return {"bags": bags, "width": pd.width}

@@ -155,8 +155,8 @@ def general_k_family(p: int, k: int) -> Drawing:
     """Band family: each vertex joined to the next ell = floor(sqrt(k/2))
     vertices of the other layer, in both directions.
 
-    n = 2p, m = 2*(ell*p - ell*(ell+1)/2); at most 2*ell^2 <= k crossings
-    per edge.
+    n = 2p, m = 2*(ell*p - ell*(ell+1)/2); at most 2*ell^2 - 2*ell + 1 <= k
+    crossings per edge, reached once p >= 3*ell - 1.
     """
     if k < 2:
         raise ValueError("k must be at least 2")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from layerlens.core import Drawing, crossing_profile
 from layerlens.decomposition import (
+    DecompositionReport,
     PathDecomposition,
     build_path_decomposition,
     decomposition_to_json,
@@ -18,7 +20,7 @@ from layerlens.decomposition import (
     related_vertices,
     validate_decomposition,
 )
-from layerlens.families import opt2planar, planar4_family, special_s
+from layerlens.families import opt2planar, planar4_family, planar6_family, special_s
 from layerlens.oracles import brute_force_bags
 from layerlens.search import random_drawing
 
@@ -54,6 +56,122 @@ def oracle_decomposition(d):
     bags += [frozenset({("u", i)}) for i in range(1, d.p + 1) if all(e[0] != i for e in d.edges)]
     bags += [frozenset({("v", x)}) for x in range(1, d.q + 1) if all(e[1] != x for e in d.edges)]
     return tuple(bags), orientation
+
+
+# Reference implementations: the builder, validator and JSON writer as
+# they were before decompositions recorded their sweep's events.  Every
+# bag is a frozenset, and the validator and the writer take each pair of
+# neighbouring bags apart with two frozenset differences.
+
+
+def reference_build(d):
+    order = edge_order(d)
+    bottom = sorted((x, i) for i, x in d.edges)
+    u = {i: ("u", i) for _, i in bottom}
+    v = {x: ("v", x) for _, x in order}
+
+    def sweep(order, tags):
+        first, last = {}, {}
+        for pos, (_, y) in enumerate(order, 1):
+            first.setdefault(y, pos)
+            last[y] = pos
+        active = {}
+        for pos, (s, t) in enumerate(order, 1):
+            if last[t] == pos:
+                active.pop(t, None)
+            yield s, t, active
+            if first[t] == pos < last[t]:
+                active[t] = tags[t]
+
+    def largest(order, tags):
+        return max(len(active) + 2 - (t in active) for _, t, active in sweep(order, tags))
+
+    if d.m and largest(bottom, u) < largest(order, v):
+        order, primary, secondary, orientation = bottom, v, u, "bottom"
+    else:
+        primary, secondary, orientation = u, v, "top"
+    bags = [frozenset((primary[s], secondary[t], *active.values())) for s, t, active in sweep(order, secondary)]
+    bags += [frozenset({("u", i)}) for i in range(1, d.p + 1) if i not in u]
+    bags += [frozenset({("v", x)}) for x in range(1, d.q + 1) if x not in v]
+    return PathDecomposition(tuple(bags), orientation)
+
+
+def reference_validate(d, pd):
+    verts = {("u", i) for i in range(1, d.p + 1)} | {("v", x) for x in range(1, d.q + 1)}
+    violations = []
+    runs = {}
+    prev = frozenset()
+    for idx, b in enumerate(pd.bags):
+        entering = b - prev
+        for vert in prev - b:
+            runs[vert][-1][1] = idx - 1
+        for vert in entering:
+            runs.setdefault(vert, []).append([idx, idx])
+        if not violations and not verts.issuperset(entering):
+            who = min(entering - verts)
+            violations.append(("P.1", f"bag {idx + 1} contains {who[0]}{who[1]} not in the graph"))
+        prev = b
+    for vert in prev:
+        runs[vert][-1][1] = len(pd.bags) - 1
+
+    def meet(a, b):
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (s1, e1), (s2, e2) = a[i], b[j]
+            if s1 <= e2 and s2 <= e1:
+                return True
+            if e1 < e2:
+                i += 1
+            else:
+                j += 1
+        return False
+
+    missing = verts.difference(runs)
+    if missing:
+        who = min(missing)
+        violations.append(("P.2", f"vertex {who[0]}{who[1]} appears in no bag"))
+    for i, x in d.sorted_edges():
+        if not meet(runs.get(("u", i), []), runs.get(("v", x), [])):
+            violations.append(("P.3", f"edge (u{i}, v{x}) has no common bag"))
+            break
+    scattered = [vert for vert, where in runs.items() if len(where) > 1]
+    if scattered:
+        who = min(scattered)
+        violations.append(("P.4", f"bags containing {who[0]}{who[1]} are not consecutive"))
+    return DecompositionReport(not violations, pd.width, tuple(violations))
+
+
+def reference_to_json(pd):
+    labels = {vert: f"{vert[0]}{vert[1]}" for vert in frozenset().union(*pd.bags)}
+    bags = []
+    current = []
+    prev = frozenset()
+    for b in pd.bags:
+        for vert in prev - b:
+            del current[bisect_left(current, labels[vert])]
+        for vert in b - prev:
+            insort(current, labels[vert])
+        bags.append(current[:])
+        prev = b
+    return {"bags": bags, "width": pd.width}
+
+
+@st.composite
+def event_inputs(draw):
+    """Random drawings up to 9 x 9 (isolated vertices and edgeless ones
+    among them), opt2planar and planar6_family chains, and edgeless
+    drawings, each in either orientation."""
+    p, q = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cells = [(i, x) for i in range(1, p + 1) for x in range(1, q + 1)]
+    d = draw(
+        st.one_of(
+            st.builds(Drawing, st.just(p), st.just(q), st.frozensets(st.sampled_from(cells))),
+            st.builds(opt2planar, st.integers(1, 6)),
+            st.builds(planar6_family, st.integers(2, 4)),
+            st.builds(Drawing, st.integers(1, 12), st.integers(1, 12), st.just(frozenset())),
+        )
+    )
+    return d.transpose() if draw(st.booleans()) else d
 
 
 class TestEdgeOrder:
@@ -205,6 +323,50 @@ class TestAgainstOracle:
         assert build_path_decomposition(complete_grid(2, 4)).orientation == "bottom"
 
 
+class TestEventRoute:
+    """A built decomposition, read through its recorded events, against the
+    frozenset-difference reference and against the same bags given by hand."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(event_inputs(), drawings())
+    @example(Drawing(3, 4, frozenset()), Drawing(3, 4, frozenset()))
+    @example(Drawing(3, 3, frozenset([(2, 2)])), Drawing(2, 2, frozenset([(1, 1)])))
+    @example(complete_grid(2, 4), complete_grid(2, 4))
+    @example(opt2planar(3), Drawing(1, 1, frozenset([(1, 1)])))
+    def test_matches_reference(self, d, other):
+        pd, ref = build_path_decomposition(d), reference_build(d)
+        assert pd.bags == ref.bags
+        assert (pd.width, pd.orientation, pd.bag_count) == (ref.width, ref.orientation, len(ref.bags))
+        assert pd == ref and hash(pd) == hash(ref)
+        assert decomposition_to_json(pd) == reference_to_json(ref)
+        # against its own drawing the report is clean; against another one
+        # the violations and their witnesses must agree too
+        for dd in (d, other):
+            assert validate_decomposition(dd, pd) == reference_validate(dd, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(event_inputs(), drawings())
+    @example(Drawing(2, 3, frozenset()), Drawing(2, 3, frozenset()))
+    def test_rebuilt_from_bags_reads_the_same(self, d, other):
+        pd = build_path_decomposition(d)
+        report, data = validate_decomposition(d, pd), decomposition_to_json(pd)
+        again = PathDecomposition(pd.bags, pd.orientation)
+        assert validate_decomposition(d, again) == report
+        assert decomposition_to_json(again) == data
+        assert validate_decomposition(other, again) == validate_decomposition(other, pd)
+        assert (again.width, again.bag_count) == (pd.width, pd.bag_count)
+
+    def test_bags_replayed_once(self):
+        pd = build_path_decomposition(opt2planar(3))
+        assert pd.bags is pd.bags
+
+    def test_bag_count_makes_no_bag(self):
+        d = Drawing(2, 10**6, frozenset([(1, 1), (2, 2)]))
+        pd = build_path_decomposition(d)
+        assert (pd.bag_count, pd.width, pd.orientation) == (10**6, 1, "top")
+        assert pd._bags is None
+
+
 class TestValidator:
     def test_p4_violation(self):
         d = Drawing(1, 3, frozenset([(1, 1), (1, 2), (1, 3)]))
@@ -271,6 +433,24 @@ class TestValidator:
             ("P.2", "vertex u3 appears in no bag"),
             ("P.3", "edge (u2, v2) has no common bag"),
             ("P.4", "bags containing u1 are not consecutive"),
+        )
+
+    def test_p1_entry_not_a_pair(self):
+        d = Drawing(1, 1, frozenset([(1, 1)]))
+        pd = PathDecomposition((frozenset({("u", 1), ("v", 1), "x"}),))
+        assert validate_decomposition(d, pd).violations == (("P.1", "bag 1 contains 'x' not in the graph"),)
+
+    def test_p1_entries_that_do_not_compare(self):
+        d = Drawing(1, 1, frozenset([(1, 1)]))
+        pd = PathDecomposition((bag("u1", "v1"), frozenset({("u", 1), ("w", 3), 7})))
+        assert validate_decomposition(d, pd).violations == (("P.1", "bag 2 contains 7 not in the graph"),)
+
+    def test_p4_entries_that_do_not_compare(self):
+        d = Drawing(1, 1, frozenset([(1, 1)]))
+        pd = PathDecomposition((frozenset({("u", 1), ("v", 1), ("w", 3), 7}), bag("u1"), frozenset({("w", 3), 7})))
+        assert validate_decomposition(d, pd).violations == (
+            ("P.1", "bag 1 contains 7 not in the graph"),
+            ("P.4", "bags containing 7 are not consecutive"),
         )
 
     def test_report_width(self):

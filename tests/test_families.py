@@ -142,6 +142,16 @@ class TestGeneralK:
                 assert (d.n, d.m) == (2 * p, 2 * (ell * p - ell * (ell + 1) // 2))
                 assert crossing_profile(d).max_per_edge <= k, (k, p)
 
+    def test_crossing_cap_formula(self):
+        # 1, 5, 13, 25 and 41 for the reproduce suite's k = 2, 8, 18, 32, 50
+        for k in (2, 3, 8, 9, 18, 32, 50):
+            ell = band_offset(k)
+            cap = 2 * ell * ell - 2 * ell + 1
+            for p in range(ell + 1, 4 * ell + 2):
+                worst = crossing_profile(general_k_family(p, k)).max_per_edge
+                assert worst == cap if p >= 3 * ell - 1 else worst < cap, (k, p)
+            assert crossing_profile(general_k_family(60, k)).max_per_edge == cap
+
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             general_k_family(2, 8)
