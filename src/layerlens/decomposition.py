@@ -331,11 +331,11 @@ def _least(entries: Collection[object]) -> object:
 
 
 def _name(entry: object) -> str:
-    """"u3" for ("u", 3); the repr of an entry that is not a pair."""
-    try:
+    """"u3" for ("u", 3); the repr of an entry that is not a pair, such
+    as the string "u1", which indexing alone would label u1 too."""
+    if isinstance(entry, tuple) and len(entry) == 2:
         return f"{entry[0]}{entry[1]}"
-    except (TypeError, IndexError, KeyError):
-        return repr(entry)
+    return repr(entry)
 
 
 def validate_decomposition(d: Drawing, pd: PathDecomposition) -> DecompositionReport:
@@ -400,7 +400,9 @@ def decomposition_to_json(pd: PathDecomposition) -> dict:
     bags of a sweep at most two vertices leave and two enter, so the cost
     is O(sum of bag sizes) list copying rather than a sort per bag.  Any
     bags give ``sorted``'s lists, a label shared by two vertices, such as
-    "u11" of ("u", 11) and ("u1", 1), included."""
+    "u11" of ("u", 11) and ("u1", 1), included.  An entry that is not a
+    (layer, index) pair, which the validator reports under P.1, is
+    labelled with its repr, as in the validator's messages."""
     labels: dict[Vertex, str] = {}
     bags = []
     current: list[str] = []
@@ -410,7 +412,7 @@ def decomposition_to_json(pd: PathDecomposition) -> dict:
         for vert in entering:
             label = labels.get(vert)
             if label is None:
-                label = labels[vert] = f"{vert[0]}{vert[1]}"
+                label = labels[vert] = _name(vert)
             insort(current, label)
         bags.append(current[:])
     return {"bags": bags, "width": pd.width}

@@ -35,7 +35,9 @@ bound over grid cells in lexicographic (row, column) order with
   no longer be added, so the bound is one popcount.  The state is
   bit-sliced masks, "crossed by at least j chosen cells" (k-planar) or
   "crosses a chosen cell whose pairwise crossing chain has at least j
-  edges" (quasiplanar).
+  edges" (quasiplanar).  The k-planar masks are packed into one integer,
+  plane j at bits jN..(j+1)N-1 for N cells, so one shift, AND and OR
+  advance every crossing counter at once.
 
 ``minimax_k`` minimizes the maximum per-edge crossing count of a
 drawing over all re-orderings of both of its layers, so the order the
@@ -164,36 +166,47 @@ def _cross_masks(cells: list[Edge]) -> list[int]:
     return masks
 
 
-# (blocked mask, bit-sliced masks of the constraint), never mutated.  The
-# masks are built from list displays: tuple(genexpr) resizes its result,
-# and the resized tuples pile up in CPython's tuple free lists (~0.6 MB
-# of peak RSS at n = 12).
-_State = tuple[int, tuple[int, ...]]
+# (blocked mask, the constraint's masks), never mutated.  The k-planar
+# masks are packed into one int; the quasiplanar ones are a tuple built
+# from a list display: tuple(genexpr) resizes its result, and the resized
+# tuples pile up in CPython's tuple free lists.
+_State = tuple[int, int | tuple[int, ...]]
 _Include = Callable[[int, int, _State], _State]  # (pos, chosen, state) -> new state
 
 
 def _kplanar_include(k: int, cross: list[int]) -> tuple[_Include, _State]:
     """Include step for "every edge crossed at most k times".
 
-    ``levels[j]`` marks the cells crossed by at least j chosen cells
-    (j = 0..k+1, level 0 is every cell).  A later cell is blocked once it
-    is crossed k+1 times or crosses a chosen cell that has k crossings.
+    With N cells, bits jN..(j+1)N-1 of ``packed`` mark the cells crossed
+    by at least j chosen cells (j = 0..k+1, plane 0 is every cell).
+    Including a cell moves every plane up one into the cells it crosses,
+    in one shift, AND and OR over all planes at once (the bit-parallel
+    counters of shift-and matching, Baeza-Yates and Gonnet, CACM 1992).
+    A later cell is blocked once it is crossed k+1 times or crosses a
+    chosen cell that has k crossings.
     """
+    n = len(cross)
+    cells = (1 << n) - 1
+    # cross[pos] copied into planes 1..k+1; the shift's plane k+2 drops off
+    rep = sum(1 << j * n for j in range(1, k + 2))
+    cross_rep = [cm * rep for cm in cross]
+    kn = k * n
+    top = kn + n
 
     def include(pos: int, chosen: int, state: _State) -> _State:
-        blocked, levels = state
-        cm = cross[pos]
-        grown = (-1, *[levels[j] | (levels[j - 1] & cm) for j in range(1, k + 2)])
+        blocked, packed = state
+        grown = packed | ((packed << n) & cross_rep[pos])
+        was = packed >> kn & cells
         # chosen cells that have just reached k crossings, and pos if it has k
-        full = (grown[k] & ~levels[k] & chosen) | (levels[k] & (1 << pos))
-        blocked |= grown[k + 1]
+        full = (grown >> kn & ~was & chosen) | (was & (1 << pos))
+        blocked |= grown >> top
         while full:
             low = full & -full
             blocked |= cross[low.bit_length() - 1]
             full ^= low
         return blocked, grown
 
-    return include, (0, (-1,) + (0,) * (k + 1))
+    return include, (0, cells)
 
 
 def _quasiplanar_include(h: int, cross: list[int]) -> tuple[_Include, _State]:

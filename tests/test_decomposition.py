@@ -440,6 +440,11 @@ class TestValidator:
         pd = PathDecomposition((frozenset({("u", 1), ("v", 1), "x"}),))
         assert validate_decomposition(d, pd).violations == (("P.1", "bag 1 contains 'x' not in the graph"),)
 
+    def test_p1_string_entry_is_named_by_its_repr(self):
+        d = Drawing(1, 1, frozenset([(1, 1)]))
+        pd = PathDecomposition((frozenset({("u", 1), ("v", 1), "u1"}),))
+        assert validate_decomposition(d, pd).violations == (("P.1", "bag 1 contains 'u1' not in the graph"),)
+
     def test_p1_entries_that_do_not_compare(self):
         d = Drawing(1, 1, frozenset([(1, 1)]))
         pd = PathDecomposition((bag("u1", "v1"), frozenset({("u", 1), ("w", 3), 7})))
@@ -482,4 +487,18 @@ _tags = st.sampled_from([("u", 1), ("u", 2), ("u", 10), ("u", 11), ("u1", 1), ("
 def test_json_bags_match_sorted_labels(bags):
     pd = PathDecomposition(tuple(bags))
     expected = [sorted(f"{layer}{idx}" for layer, idx in b) for b in bags]
+    assert decomposition_to_json(pd) == {"bags": expected, "width": pd.width}
+
+
+@pytest.mark.parametrize(
+    "bags,expected",
+    [
+        ((frozenset({"x"}),), [["'x'"]]),
+        ((bag("u1", "v1"), frozenset({("u", 1), ("w", 3), 7})), [["u1", "v1"], ["7", "u1", "w3"]]),
+        ((frozenset({("u", 1), "u1", "xyz"}),), [["'u1'", "'xyz'", "u1"]]),
+    ],
+)
+def test_json_labels_foreign_entries_by_repr(bags, expected):
+    # the entries the validator reports under P.1 are written, not raised on
+    pd = PathDecomposition(bags)
     assert decomposition_to_json(pd) == {"bags": expected, "width": pd.width}

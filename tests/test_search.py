@@ -242,7 +242,9 @@ class TestMaxDensity:
         (10, Quasiplanar(2), 589, 357, (10, 4, 9, 37, 172)),
         (10, Quasiplanar(3), 2216, 725, (10, 24, 10, 207, 1240)),
         (10, Quasiplanar(4), 889, 140, (10, 24, 32, 36, 647)),
+        (11, KPlanar(8), 56_637, 7_212, (11, 27, 2488, 16_096, 30_803)),
         (11, Quasiplanar(3), 5843, 2524, (11, 27, 10, 336, 2935)),
+        (12, KPlanar(2), 14_117, 2_354, (12, 645, 818, 1384, 3788, 5116)),
         (12, KPlanar(5), 92_000, 30_496, (12, 505, 4544, 18_690, 22_054, 15_699)),
         (12, Quasiplanar(4), 58_775, 10_610, (12, 30, 41, 50, 6774, 41_258)),
         (13, KPlanar(5), 358_917, 88_112, (13, 1205, 4333, 61_102, 98_269, 105_883)),
@@ -362,6 +364,56 @@ def test_suffix_bound_table_beyond_twelve_cells(p, q, start):
     for c in constraints:
         cap = _search_split(p, q, c, 0)[3]
         assert cap[start:] == optima[c], c
+
+
+def _tuple_kplanar_include(k: int, cross: list[int]):
+    """The k-planar include step with one mask per plane in a tuple,
+    ``levels[j]`` marking the cells crossed by at least j chosen cells
+    (level 0 is every cell): the reference for the packed step."""
+
+    def include(pos, chosen, state):
+        blocked, levels = state
+        cm = cross[pos]
+        grown = (-1, *[levels[j] | (levels[j - 1] & cm) for j in range(1, k + 2)])
+        full = (grown[k] & ~levels[k] & chosen) | (levels[k] & (1 << pos))
+        blocked |= grown[k + 1]
+        while full:
+            low = full & -full
+            blocked |= cross[low.bit_length() - 1]
+            full ^= low
+        return blocked, grown
+
+    return include, (0, (-1,) + (0,) * (k + 1))
+
+
+@st.composite
+def _include_walks(draw):
+    """A p x q grid up to 6 x 6, a k up to one past the crossing cap
+    (p - 1)(q - 1), and a coin per cell deciding whether an unblocked cell
+    is included."""
+    p, q = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, (p - 1) * (q - 1) + 1))
+    return p, q, k, draw(st.lists(st.booleans(), min_size=p * q, max_size=p * q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_include_walks())
+def test_packed_kplanar_include_matches_tuple_of_planes(walk):
+    p, q, k, coins = walk
+    cross = search._cross_masks(search._grid_cells(p, q))
+    n_cells, ones = p * q, (1 << p * q) - 1
+    packed_step, packed = search._kplanar_include(k, cross)
+    tuple_step, ref = _tuple_kplanar_include(k, cross)
+    chosen = 0
+    for pos, coin in enumerate(coins):
+        if not coin or ref[0] >> pos & 1:
+            continue
+        packed, ref = packed_step(pos, chosen, packed), tuple_step(pos, chosen, ref)
+        chosen |= 1 << pos
+        assert packed[0] == ref[0], (pos, chosen)
+        planes = [packed[1] >> j * n_cells & ones for j in range(k + 2)]
+        assert planes == [level & ones for level in ref[1]], (pos, chosen)
+        assert packed[1] >> (k + 2) * n_cells == 0
 
 
 @pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 13) for q in range(1, 13) if p * q <= 12])
