@@ -302,6 +302,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     k = args.k
     if k < 0:
         raise _UsageError("k must be non-negative")
+    if args.n is not None and args.n < 1:
+        raise _UsageError("n must be positive")
     lines = []
     if k < table.t:
         coeff_a, coeff_b = table.alpha[k], table.beta[k]
@@ -460,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     except _DataError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:  # OSError: an unwritable output path
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

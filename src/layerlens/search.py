@@ -2,14 +2,14 @@
 
 ``max_density`` answers: across every split p + q = n and every edge
 subset of the p x q grid, how many edges can a drawing have under a
-k-planarity or h-quasiplanarity cap?  It is a depth-first branch and
-bound over grid cells in lexicographic (row, column) order with
+k-planarity or h-quasiplanarity cap?  It answers quasiplanarity with a
+closed form and k-planarity with a depth-first branch and bound over
+grid cells in lexicographic (row, column) order:
 
-* a closed form in place of the search for quasiplanarity (Greene, Adv.
-  Math. 1974; Greene and Kleitman, JCTA 1976): the most edges with no h
-  pairwise crossing is (h - 1)(n - h + 1) when 2(h - 1) <= n and
-  floor(n/2) * ceil(n/2) otherwise, on the complete grid with
-  p = min(h - 1, floor(n/2)) rows.  The cells of one anti-diagonal
+* the closed form (Greene, Adv. Math. 1974; Greene and Kleitman, JCTA
+  1976): the most edges with no h pairwise crossing is
+  (h - 1)(n - h + 1) when 2(h - 1) <= n and floor(n/2) * ceil(n/2)
+  otherwise, on the complete grid with p = min(h - 1, floor(n/2)) rows.  The cells of one anti-diagonal
   pairwise cross, so each of the p + q - 1 holds at most h - 1 chosen
   cells, (h - 1)(p + q - h + 1) in all for h - 1 <= p <= q; edges sharing
   an endpoint do not cross, so the complete grid with h - 1 rows attains
@@ -19,8 +19,8 @@ bound over grid cells in lexicographic (row, column) order with
 * an admissible bound: the current edge count plus the smaller of the
   number of future cells that are still individually addable and the
   exact optimum of the future cells taken on their own.  The latter is a
-  Russian-doll bound (Verfaillie, Lemaitre and Schiex, AAAI 1996): both
-  constraints are hereditary, so whatever a completion adds is itself an
+  Russian-doll bound (Verfaillie, Lemaitre and Schiex, AAAI 1996): the
+  constraint is hereditary, so whatever a completion adds is itself an
   allowed drawing on those cells, and the suffix optima are found last
   cell first, each one more than the next or equal to it: one more when
   the next one's optimal drawing extends by the new cell, otherwise
@@ -29,15 +29,14 @@ bound over grid cells in lexicographic (row, column) order with
 * per-split statistics: ``SearchStats.splits`` holds the nodes of every
   split, the part of them spent on the suffix optima and the number of
   suffixes that needed a search,
-* one DFS for both constraints, the quasiplanar one kept as the second
-  route the tests check the closed form against: including a cell
-  returns a new state whose blocked-cell bitmask marks the cells that can
-  no longer be added, so the bound is one popcount.  The state is
-  bit-sliced masks, "crossed by at least j chosen cells" (k-planar) or
-  "crosses a chosen cell whose pairwise crossing chain has at least j
-  edges" (quasiplanar).  The k-planar masks are packed into one integer,
-  plane j at bits jN..(j+1)N-1 for N cells, so one shift, AND and OR
-  advance every crossing counter at once.
+* a DFS that knows the constraint only through the include step it is
+  given: including a cell returns a new state whose blocked-cell bitmask
+  marks the cells that can no longer be added, so the bound is one
+  popcount.  The k-planar state is bit-sliced masks, "crossed by at
+  least j chosen cells", packed into one integer, plane j at bits
+  jN..(j+1)N-1 for N cells, so one shift, AND and OR advance every
+  crossing counter at once.  The tests run the same DFS with a
+  quasiplanar include step, the reference route for the closed form.
 
 ``minimax_k`` minimizes the maximum per-edge crossing count of a
 drawing over all re-orderings of both of its layers, so the order the
@@ -57,6 +56,7 @@ import time
 from collections.abc import Callable
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations, product, repeat
 
 from .core import Drawing, Edge, _is_int
@@ -166,12 +166,9 @@ def _cross_masks(cells: list[Edge]) -> list[int]:
     return masks
 
 
-# (blocked mask, the constraint's masks), never mutated.  The k-planar
-# masks are packed into one int; the quasiplanar ones are a tuple built
-# from a list display: tuple(genexpr) resizes its result, and the resized
-# tuples pile up in CPython's tuple free lists.
-_State = tuple[int, int | tuple[int, ...]]
+_State = tuple[int, int]  # (blocked mask, the constraint's packed masks), never mutated
 _Include = Callable[[int, int, _State], _State]  # (pos, chosen, state) -> new state
+_Step = Callable[[list[int]], tuple[_Include, _State]]  # cross masks -> (include, start state)
 
 
 def _kplanar_include(k: int, cross: list[int]) -> tuple[_Include, _State]:
@@ -209,51 +206,35 @@ def _kplanar_include(k: int, cross: list[int]) -> tuple[_Include, _State]:
     return include, (0, cells)
 
 
-def _quasiplanar_include(h: int, cross: list[int]) -> tuple[_Include, _State]:
-    """Include step for "no h pairwise crossing edges".
-
-    Pairwise crossing sets are chains of the crossing relation in cell
-    order, and every chosen cell precedes every undecided one, so a cell's
-    longest chain is fixed by the chosen cells.  ``reach[j]`` marks the
-    cells crossing a chosen cell whose chain has at least j + 1 edges
-    (j = 0..h-2); the last level is the blocked mask.
-    """
-
-    def include(pos: int, chosen: int, state: _State) -> _State:
-        reach = state[1]
-        j = 0  # pos ends a chain of j + 1 edges; j < h - 1 as pos is not blocked
-        while reach[j] >> pos & 1:
-            j += 1
-        cm = cross[pos]
-        reach = (*[r | cm for r in reach[: j + 1]], *reach[j + 1 :])
-        return reach[-1], reach
-
-    return include, (0, (0,) * (h - 1))
-
-
 class _SuffixSolved(Exception):
     """Raised by a suffix solve at its first leaf one above the incumbent,
     the most one more cell can add."""
 
 
 def _search_split(
-    p: int, q: int, constraint: Constraint, start_best: int
+    p: int, q: int, step: _Step, start_best: int
 ) -> tuple[int, list[Edge] | None, SplitStats, list[int]]:
     """Best edge count over subsets of the p x q grid, strictly above
-    ``start_best``; returns (best, cells or None if no improvement, stats,
-    the bound table ``cap`` described below).
+    ``start_best``, under the constraint that ``step`` encodes; returns
+    (best, cells or None if no improvement, stats, the bound table ``cap``
+    described below).
+
+    ``step(cross)``, given the crossing mask of each cell, returns the
+    include step and the empty drawing's state.  The include step returns
+    a new state whose ``blocked`` bitmask marks the cells that can no
+    longer be added; the DFS knows the constraint only through it.  The
+    constraint must depend on crossings alone and be hereditary: every
+    subset of an allowed drawing is allowed.
 
     The DFS decides cells in lexicographic order, include branch first.
-    Cells that cross nothing are always included: adding them never
-    violates either constraint and never hurts the objective.  The
-    constraint only enters through its include step, which returns a new
-    state whose ``blocked`` bitmask marks the cells that can no longer be
-    added.
+    Cells that cross nothing are always included: adding them changes no
+    crossing, so it never violates the constraint, and it never hurts the
+    objective.
 
     The bound at cell ``pos`` is ``m + min(cap[pos], addable)``, where
     ``addable`` counts the later cells outside ``blocked`` and ``cap[pos]``
     is the most cells of ``pos..N-1`` the constraint allows taken on their
-    own (a Russian-doll bound).  Both constraints are hereditary, so the
+    own (a Russian-doll bound).  The constraint is hereditary, so the
     later cells of any completion form an allowed drawing by themselves and
     number at most ``cap[pos]``.  From the second row on, ``cap`` is exact:
     it is settled last cell first, keeping ``wit``, the mask of an optimal
@@ -271,22 +252,17 @@ def _search_split(
     the result does not depend on it.
 
     Rotation canonicalization: the 180 degree rotation maps cell t to cell
-    N-1-t and preserves both constraints, so each drawing and its rotation
-    are interchangeable.  Scanning mirror pairs from the innermost outward
-    (the order in which the DFS completes them), the first unequal pair may
-    only have the later cell included, which halves the symmetric part of
-    the tree.
+    N-1-t and preserves crossings, hence the constraint, so each drawing and
+    its rotation are interchangeable.  Scanning mirror pairs from the
+    innermost outward (the order in which the DFS completes them), the first
+    unequal pair may only have the later cell included, which halves the
+    symmetric part of the tree.
     """
     cells = _grid_cells(p, q)
     n_cells = len(cells)
     cross = _cross_masks(cells)
     future = [((1 << n_cells) - 1) >> pos << pos for pos in range(n_cells + 1)]
-    if isinstance(constraint, KPlanar):
-        # no cell crosses more than (p - 1)(q - 1) others, so a larger k
-        # allows the same drawings; clamped, the state no longer grows with k
-        include, start = _kplanar_include(min(constraint.k, (p - 1) * (q - 1)), cross)
-    else:
-        include, start = _quasiplanar_include(constraint.h, cross)
+    include, start = step(cross)
     nodes = 0
     best_chosen: int | None = None
     cap = [0] * (n_cells + 1)
@@ -393,6 +369,9 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
         witness = Drawing(p, q, frozenset(_grid_cells(p, q)))
         return SearchResult(p * q, witness, SearchStats(0, (time.perf_counter() - t0) * 1000.0))
     splits = [(p, n - p) for p in range(1, n // 2 + 1)]
+    # no cell crosses more than (p - 1)(q - 1) others, so a larger k allows
+    # the same drawings; clamped, the state no longer grows with k
+    steps = [partial(_kplanar_include, min(constraint.k, (p - 1) * (q - 1))) for p, q in splits]
     split_stats: list[SplitStats] = []
     best = 0
     best_split: tuple[int, int] | None = None
@@ -406,15 +385,15 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
         def results():
             # lazy, so each split starts from the best of the splits before
             # it, and the parallel ones from the best of the sequential ones
-            for p, q in splits[:n_seq]:
-                yield _search_split(p, q, constraint, best)
+            for (p, q), step in zip(splits[:n_seq], steps):
+                yield _search_split(p, q, step, best)
             if n_seq < len(splits):
                 # imported here, so that `import layerlens` leaves out multiprocessing
                 from concurrent.futures import ProcessPoolExecutor
 
                 pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
                 ps, qs = zip(*splits[n_seq:])
-                yield from pool.map(_search_split, ps, qs, repeat(constraint), repeat(best))
+                yield from pool.map(_search_split, ps, qs, steps[n_seq:], repeat(best))
 
         for split, (got, cells, stats, _) in zip(splits, results()):
             split_stats.append(stats)

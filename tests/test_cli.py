@@ -425,6 +425,15 @@ class TestBoundsCommands:
         assert err.startswith("usage error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("k", [0, 5, 6])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_n_is_usage_error(self, capsys, k, n):
+        # table rows would print a negative bound at n = -3
+        assert main(["bounds", "--k", str(k), "--n", n]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: ")
+
     def test_bounds_text_pinned(self, capsys):
         # sha256 of the stdout of bounds for k = 0..8, each without and with --n 100
         for k in range(9):
@@ -485,6 +494,27 @@ def test_nonpositive_threads_is_usage_error(capsys, command, threads):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--threads must be positive" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "opt2planar", "--out"],
+        ["search", "--n", "6", "--k", "2", "--witness"],
+        ["search", "--n", "6", "--k", "2", "--csv"],
+        ["pathwidth", "{drawing}", "--out"],
+        ["export", "{drawing}", "--format", "dot", "--out"],
+        ["reproduce", "--out"],
+    ],
+    ids=["gen-out", "search-witness", "search-csv", "pathwidth-out", "export-out", "reproduce-out"],
+)
+def test_unwritable_output_is_usage_error(capsys, tmp_path, k23_file, argv):
+    # the output's directory does not exist
+    argv = [a.format(drawing=k23_file) for a in argv] + [str(tmp_path / "missing" / "x.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])

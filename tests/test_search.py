@@ -5,9 +5,8 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import hashlib
-import random
 import tracemalloc
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 
 import pytest
@@ -42,11 +41,21 @@ from layerlens.search import (
 _max_density = cache(max_density)
 
 
+def _step(c: Constraint):
+    """The include-step factory that ``_search_split`` takes for c: the
+    packed k-planar step, or the quasiplanar reference step.  k is not
+    clamped to the grid's crossing cap; a larger k allows the same drawings
+    and only widens the state."""
+    if isinstance(c, KPlanar):
+        return partial(search._kplanar_include, c.k)
+    return partial(_quasiplanar_include, c.h)
+
+
 def _transposed_split(p: int, q: int, c: Constraint, start_best: int) -> tuple[int, list | None, SplitStats]:
     """``_search_split`` on the transposed q x p grid, one row per vertex of
     the larger layer; returns (best, cells mapped back to the p x q frame
     with (x, i) -> (i, x) or None, stats of the p x q split)."""
-    best, cells, stats, _ = _search_split(q, p, c, start_best)
+    best, cells, stats, _ = _search_split(q, p, _step(c), start_best)
     if cells is not None:
         cells = [(i, x) for x, i in cells]
     return best, cells, dataclasses.replace(stats, p=p, q=q)
@@ -346,7 +355,7 @@ def test_suffix_bound_table(p, q):
     constraints = [KPlanar(k) for k in range(6)] + [Quasiplanar(h) for h in (2, 3, 4)]
     optima = _brute_force_suffix_optima(p, q, constraints)
     for c in constraints:
-        best, _, _, cap = _search_split(p, q, c, 0)
+        best, _, _, cap = _search_split(p, q, _step(c), 0)
         want = optima[c]
         assert cap[q:] == want[q:], c
         assert all(cap[pos] >= want[pos] for pos in range(q)), c
@@ -362,8 +371,31 @@ def test_suffix_bound_table_beyond_twelve_cells(p, q, start):
     constraints = [KPlanar(k) for k in range(6)] + [Quasiplanar(h) for h in (2, 3, 4)]
     optima = _brute_force_suffix_optima(p, q, constraints, start)
     for c in constraints:
-        cap = _search_split(p, q, c, 0)[3]
+        cap = _search_split(p, q, _step(c), 0)[3]
         assert cap[start:] == optima[c], c
+
+
+def _quasiplanar_include(h: int, cross: list[int]):
+    """Include step for "no h pairwise crossing edges", the reference route
+    that the closed form of ``max_density`` is checked against.
+
+    Pairwise crossing sets are chains of the crossing relation in cell
+    order, and every chosen cell precedes every undecided one, so a cell's
+    longest chain is fixed by the chosen cells.  ``reach[j]`` marks the
+    cells crossing a chosen cell whose chain has at least j + 1 edges
+    (j = 0..h-2); the last level is the blocked mask.
+    """
+
+    def include(pos, chosen, state):
+        reach = state[1]
+        j = 0  # pos ends a chain of j + 1 edges; j < h - 1 as pos is not blocked
+        while reach[j] >> pos & 1:
+            j += 1
+        cm = cross[pos]
+        reach = (*[r | cm for r in reach[: j + 1]], *reach[j + 1 :])
+        return reach[-1], reach
+
+    return include, (0, (0,) * (h - 1))
 
 
 def _tuple_kplanar_include(k: int, cross: list[int]):
@@ -422,7 +454,7 @@ def test_layer_swap_second_route(p, q):
     # either search, those of the transposed one mapped back, are an
     # allowed p x q drawing
     for c in [KPlanar(k) for k in range(4)] + [Quasiplanar(h) for h in range(2, 5)]:
-        best, cells, _, _ = _search_split(p, q, c, 0)
+        best, cells, _, _ = _search_split(p, q, _step(c), 0)
         got, back, stats = _transposed_split(p, q, c, 0)
         assert (got, stats.p, stats.q) == (best, p, q), c
         for found in (cells, back):
@@ -592,10 +624,10 @@ class TestBipartiteGraph:
 
 
 def test_search_exhaustive_cross_check():
-    # tiny-n ground truth by full enumeration over splits and subsets
-    rng = random.Random(5)
-    for n in (3, 4, 5, 6):
-        for cons in (KPlanar(1), KPlanar(2), Quasiplanar(2), Quasiplanar(3), Quasiplanar(4)):
+    # small-n ground truth by full enumeration over splits and subsets, up
+    # to the 4 x 4 grid, which holds the exceptional 14-edge drawing at k = 5
+    for n in range(3, 9):
+        for cons in (KPlanar(1), KPlanar(2), KPlanar(3), KPlanar(5), Quasiplanar(2), Quasiplanar(3), Quasiplanar(4)):
             best = 0
             for p in range(1, n):
                 q = n - p
