@@ -14,8 +14,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterator
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import TextIO
 
 from . import bounds as bnd
 from . import export as exp
@@ -35,6 +38,7 @@ from .search import (
     MAX_DENSITY_N,
     KPlanar,
     Quasiplanar,
+    _check_density_size,
     _check_minimax_size,
     _quasiplanar_optimum,
     complete_bipartite,
@@ -160,18 +164,26 @@ def _load(path: str) -> Drawing:
         raise _DataError(str(exc)) from exc
 
 
-def _write_or_print(text: str, out: str | None) -> None:
+@contextmanager
+def _outputs(*paths: str | None) -> Iterator[list[TextIO | None]]:
+    """Each output path opened for writing, None for one not given (or
+    empty), closed on exit.  A command opens its outputs before it prints
+    or computes anything, so an unwritable path fails first."""
+    with ExitStack() as stack:
+        yield [stack.enter_context(open(path, "w", encoding="utf-8")) if path else None for path in paths]
+
+
+def _write_or_print(text: str, out: TextIO | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as f:
-            f.write(text)
+        out.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _dump_json(obj: object, out: str | None) -> None:
-    """Indented JSON to the file ``out``, without a final newline, or to
-    stdout with one when ``out`` is None or empty."""
-    _write_json(obj, out or None, "" if out else "\n")
+def _dump_json(obj: object, out: TextIO | None) -> None:
+    """Indented JSON to the open file ``out``, without a final newline, or
+    to stdout with one when ``out`` is None."""
+    _write_json(obj, out or sys.stdout, "" if out else "\n")
 
 
 def _threads(args: argparse.Namespace) -> int:
@@ -207,10 +219,10 @@ def _load_table(path: str | None) -> bnd.CoefficientTable:
 def _cmd_gen(args: argparse.Namespace) -> int:
     try:
         spec = fam.FamilySpec(family=args.family, size=args.size, k=args.k)
-        drawing = fam.generate(spec)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    _dump_json(drawing_to_json(drawing), args.out)
+    with _outputs(args.out) as (out,):
+        _dump_json(drawing_to_json(fam.generate(spec)), out)
     return 0
 
 
@@ -250,16 +262,18 @@ def _cmd_search(args: argparse.Namespace) -> int:
         kind, param = "h", args.quasi
         label = f"h={args.quasi}"
     threads = _threads(args)
-    result = max_density(args.n, constraint, threads=threads)
-    note = _formula_note(kind, param, args.n, result.best_m)
-    print(f"n={args.n} {constraint.label}: best_m={result.best_m} ({note})")
-    print(f"nodes={result.stats.nodes} millis={result.stats.millis:.1f} threads={threads}")
-    print("witness: first optimum in deterministic scan order")
-    if args.witness:
-        _dump_json(drawing_to_json(result.witness), args.witness)
-    if args.csv:
-        row = f"{args.n},{label},{result.best_m},{result.stats.nodes},{result.stats.millis:.1f}"
-        _write_or_print("n,constraint,best_m,nodes,millis\n" + row + "\n", args.csv)
+    _check_density_size(args.n)
+    with _outputs(args.witness, args.csv) as (witness, csv):
+        result = max_density(args.n, constraint, threads=threads)
+        note = _formula_note(kind, param, args.n, result.best_m)
+        print(f"n={args.n} {constraint.label}: best_m={result.best_m} ({note})")
+        print(f"nodes={result.stats.nodes} millis={result.stats.millis:.1f} threads={threads}")
+        print("witness: first optimum in deterministic scan order")
+        if witness:
+            _dump_json(drawing_to_json(result.witness), witness)
+        if csv:
+            row = f"{args.n},{label},{result.best_m},{result.stats.nodes},{result.stats.millis:.1f}"
+            _write_or_print("n,constraint,best_m,nodes,millis\n" + row + "\n", csv)
     return 0
 
 
@@ -287,13 +301,14 @@ def _cmd_minimax(args: argparse.Namespace) -> int:
 
 def _cmd_pathwidth(args: argparse.Namespace) -> int:
     d = _load(args.drawing)
-    pd = build_path_decomposition(d)
-    report = validate_decomposition(d, pd)
-    print(f"bags={pd.bag_count} width={pd.width} orientation={pd.orientation} valid={report.valid}")
-    for prop, witness in report.violations:
-        print(f"violated {prop}: {witness}")
-    if args.out:
-        _dump_json(decomposition_to_json(pd), args.out)
+    with _outputs(args.out) as (out,):
+        pd = build_path_decomposition(d)
+        report = validate_decomposition(d, pd)
+        print(f"bags={pd.bag_count} width={pd.width} orientation={pd.orientation} valid={report.valid}")
+        for prop, witness in report.violations:
+            print(f"violated {prop}: {witness}")
+        if out:
+            _dump_json(decomposition_to_json(pd), out)
     return 0
 
 
@@ -352,28 +367,29 @@ def _cmd_crossing_bound(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     d = _load(args.drawing)
-    if args.format == "dot":
-        text = exp.to_dot(d)
-    elif args.format == "svg":
-        text = exp.to_svg(d)
-    else:
-        text = exp.to_csv(d)
-    _write_or_print(text, args.out)
+    with _outputs(args.out) as (out,):
+        if args.format == "dot":
+            text = exp.to_dot(d)
+        elif args.format == "svg":
+            text = exp.to_svg(d)
+        else:
+            text = exp.to_csv(d)
+        _write_or_print(text, out)
     return 0
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     threads = _threads(args)
     elapsed: dict[str, float] = {}
-    rows = rep.run_all(threads=threads, elapsed=elapsed)
-    csv_text = rep.rows_to_csv(rows)
-    if args.json:
-        _dump_json(rep.rows_to_json(rows, elapsed), None)
-    else:
-        sys.stdout.write(csv_text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(csv_text)
+    with _outputs(args.out) as (out,):
+        rows = rep.run_all(threads=threads, elapsed=elapsed)
+        csv_text = rep.rows_to_csv(rows)
+        if args.json:
+            _dump_json(rep.rows_to_json(rows, elapsed), None)
+        else:
+            sys.stdout.write(csv_text)
+        if out:
+            out.write(csv_text)
     if all(r.passed for r in rows):
         if not args.json:
             print(f"all {len(rows)} checks pass")

@@ -14,13 +14,12 @@ edges.
 from __future__ import annotations
 
 import json
-import sys
 from bisect import bisect_left
 from collections.abc import Callable, Iterator
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
+from typing import TextIO
 
 Edge = tuple[int, int]
 
@@ -377,7 +376,8 @@ def load_drawing(path: str) -> Drawing:
 
 
 def save_drawing(d: Drawing, path: str) -> None:
-    _write_json(drawing_to_json(d), path, "\n")
+    with open(path, "w", encoding="utf-8") as f:
+        _write_json(drawing_to_json(d), f, "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +470,7 @@ def _json_chunks(obj: object, level: int = 0) -> Iterator[str]:
     yield outer + close
 
 
-def _write_json(obj: object, path: str | None, end: str) -> None:
-    """Write ``json.dumps(obj, indent=2) + end`` to the file at ``path``,
-    or to stdout when ``path`` is None."""
-    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as f:
-        f.writelines(_json_chunks(obj))
-        f.write(end)
+def _write_json(obj: object, f: TextIO, end: str) -> None:
+    """Write ``json.dumps(obj, indent=2) + end`` to the text stream ``f``."""
+    f.writelines(_json_chunks(obj))
+    f.write(end)

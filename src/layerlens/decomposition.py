@@ -12,32 +12,39 @@ positions in the order satisfy first[y] < pos < last[y].  Every active
 y other than the bottom end t of the pos-th edge e = (s, t) is related
 to e: if y > t, the first edge of y has a top index below s and crosses
 e; if y < t, the last edge of y has a top index above s and crosses e.
-So the bag of e is exactly {u_s, v_t} plus the active vertices.  The
-largest bag is known from the sizes of the active sets alone, so
-``path_width`` gives the width in O(m log m) time and O(m) memory.
+So the bag of e is exactly {u_s, v_t} plus the active vertices.
 
-A built decomposition is recorded as the events of its sweep rather than
-as bags.  Between the bags of positions pos - 1 and pos, u_s leaves and
-the new top end enters when the top index changes, the previous bottom
-end leaves after its last position, and v_t enters at its first: at most
-two vertices leave and two enter.  The isolated vertices' singleton bags
-follow, each replacing the bag before it.  ``_transitions`` yields the
-(leaving, entering) pair of every bag: a built decomposition replays its
-events, and one made from bags, corrupted ones included, takes the two
-frozenset differences of each pair of neighbouring bags.  The validator
-and the JSON writer read only ``_transitions``, and ``bags`` replays the
-events once on first use.  Building, validating and writing the JSON
-then cost O(m log m + p + q) plus the size of the output, and no
-frozenset is made per bag unless ``bags`` is read.
+``_steps`` is the one routine that derives bags from an edge order.  It
+yields the (leaving, entering) step into each bag: between the bags of
+positions pos - 1 and pos, u_s leaves and the new top end enters when
+the top index changes, the previous bottom end leaves after its last
+position, and v_t enters at its first, so at most two vertices leave and
+two enter.  A bag's size is the running sum of len(entering) -
+len(leaving), so the largest bag of an orientation is known without
+making a bag.  ``path_width`` and the builder share ``_narrower``, which
+sweeps both orientations and keeps the narrower one, in O(m log m) time
+and O(m) memory.
+
+Every decomposition holds one form, its ``_Events``: the steps, then one
+singleton bag per isolated vertex, each replacing the bag before it.  A
+built decomposition records the steps of its kept sweep; one made from
+bags, corrupted ones included, records the two frozenset differences of
+each pair of neighbouring bags at construction.  ``_transitions`` yields
+the (leaving, entering) pair of every bag from the events alone.  The
+validator and the JSON writer read only ``_transitions``, and ``bags``
+of a built decomposition replays the events once on first use.
+Building, validating and writing the JSON then cost O(m log m + p + q)
+plus the size of the output, and no frozenset is made per bag unless
+``bags`` is read.
 """
 
 from __future__ import annotations
 
 import sys
 from bisect import bisect_left, insort
-from collections.abc import Collection, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 
 from .core import Drawing, Edge
 
@@ -72,21 +79,6 @@ def _spans(order: list[Edge]) -> tuple[dict[int, int], dict[int, int]]:
     return first, last
 
 
-def _sweep(order: list[Edge], tags: dict[int, Vertex]) -> Iterator[tuple[int, int, dict[int, Vertex]]]:
-    """Yield (s, t, active) for each edge (s, t) of the order, where
-    ``active`` maps each bottom vertex active at that position to its tag
-    ``tags[y]``.  The mapping is updated in place, so read it before
-    advancing."""
-    first, last = _spans(order)
-    active: dict[int, Vertex] = {}
-    for pos, (s, t) in enumerate(order, 1):
-        if last[t] == pos:
-            active.pop(t, None)
-        yield s, t, active
-        if first[t] == pos < last[t]:
-            active[t] = tags[t]
-
-
 def _tags(layer: str, order: list[Edge]) -> dict[int, Vertex]:
     """One shared (layer, idx) tuple per vertex at the second end of an
     edge of the order, keyed by idx; vertices without edges get none."""
@@ -98,32 +90,56 @@ def related_vertices(d: Drawing, pos: int) -> set[int]:
 
     v_y is related when it is incident to an edge crossing the pos-th edge
     and its incidence interval strictly contains pos; these are exactly
-    the vertices active at pos other than the edge's own bottom end.
+    the y with first[y] < pos < last[y] other than the edge's own bottom
+    end.
     """
     order = edge_order(d)
     if not 1 <= pos <= len(order):
         raise ValueError(f"position {pos} out of range 1..{len(order)}")
-    _, t, active = next(islice(_sweep(order, _tags("v", order)), pos - 1, None))
-    return active.keys() - {t}
+    first, last = _spans(order)
+    return {y for y, start in first.items() if start < pos < last[y]} - {order[pos - 1][1]}
 
 
-_Step = tuple[tuple[Vertex, ...], tuple[Vertex, ...]]  # (leaving, entering)
+_Step = tuple[Collection[Vertex], Collection[Vertex]]  # (leaving, entering)
+
+
+def _steps(order: list[Edge], primary: dict[int, Vertex], secondary: dict[int, Vertex]) -> Iterator[_Step]:
+    """The (leaving, entering) step into each edge bag of the sweep over
+    the order, from the first and last positions alone: the top end
+    leaves and enters when it changes, the previous bottom end leaves
+    after its last position and the new one enters at its first."""
+    if not order:
+        return
+    first, last = _spans(order)
+    s, t = order[0]
+    yield (), (primary[s], secondary[t])
+    for pos, ((ps, pt), (s, t)) in enumerate(zip(order, islice(order, 1, None)), 2):
+        leaving = (secondary[pt],) if last[pt] == pos - 1 else ()
+        entering = (secondary[t],) if first[t] == pos else ()
+        if s != ps:
+            leaving += (primary[ps],)
+            entering += (primary[s],)
+        yield leaving, entering
+
+
+def _largest(steps: Iterable[_Step]) -> int:
+    """The size of the largest bag reached by the steps; 0 for none."""
+    return max(accumulate(len(entering) - len(leaving) for leaving, entering in steps), default=0)
 
 
 @dataclass(frozen=True, eq=False)
 class _Events:
-    """What ``build_path_decomposition`` records instead of bags: one step
-    per edge bag, the vertices of the last edge bag, and the layer sizes
-    with the vertices that have edges, from which the isolated vertices'
-    singleton bags follow."""
+    """The one form of every decomposition: one step per bag, then, after
+    the bag ``final``, one singleton bag per vertex of the layers of sizes
+    p and q that is not linked."""
 
     steps: list[_Step]
-    final: tuple[Vertex, ...]
-    p: int
-    q: int
-    u_linked: Collection[int]
-    v_linked: Collection[int]
     width: int
+    final: tuple[Vertex, ...] = ()
+    p: int = 0
+    q: int = 0
+    u_linked: Collection[int] = ()
+    v_linked: Collection[int] = ()
 
     def isolated(self) -> Iterator[Vertex]:
         yield from (("u", i) for i in range(1, self.p + 1) if i not in self.u_linked)
@@ -138,23 +154,25 @@ class PathDecomposition:
 
     ``orientation`` records which layer played the role of the primary
     (edge-ordering) layer when the decomposition was built: "top" for the
-    given drawing, "bottom" for its transpose.  A built decomposition
-    keeps the events of its sweep and makes ``bags`` from them on first
-    use; two decompositions are equal when their bags and orientations
-    are.
+    given drawing, "bottom" for its transpose.  Bags given here are kept
+    and recorded as their differences; a built decomposition keeps only
+    the events of its sweep and makes ``bags`` from them on first use.
+    Two decompositions are equal when their bags and orientations are.
     """
 
     __slots__ = ("_bags", "_orientation", "_events")
 
     def __init__(self, bags: tuple[frozenset[Vertex], ...], orientation: str = "top") -> None:
+        steps = [(prev - bag, bag - prev) for prev, bag in zip((frozenset(), *bags), bags)]
         self._bags = bags
         self._orientation = orientation
-        self._events: _Events | None = None
+        self._events = _Events(steps, _largest(steps) - 1)
 
     @classmethod
     def _built(cls, events: _Events, orientation: str) -> PathDecomposition:
-        pd = cls((), orientation)
+        pd = cls.__new__(cls)
         pd._bags = None
+        pd._orientation = orientation
         pd._events = events
         return pd
 
@@ -179,14 +197,12 @@ class PathDecomposition:
     @property
     def bag_count(self) -> int:
         """``len(bags)``, counted without making a bag."""
-        return len(self._bags) if self._events is None else self._events.count()
+        return self._events.count()
 
     @property
     def width(self) -> int:
         """Largest bag size minus one; -1 for an empty decomposition."""
-        if self._events is not None:
-            return self._events.width
-        return max((len(b) for b in self._bags), default=0) - 1
+        return self._events.width
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -200,21 +216,12 @@ class PathDecomposition:
         return f"PathDecomposition(bags={self.bags!r}, orientation={self.orientation!r})"
 
 
-def _transitions(pd: PathDecomposition) -> Iterator[tuple[Collection[Vertex], Collection[Vertex]]]:
+def _transitions(pd: PathDecomposition) -> Iterator[_Step]:
     """(leaving, entering) for each bag of pd in turn: the vertices of the
     bag before it that it lacks (none before the first bag), and its
-    vertices that the bag before lacks.
-
-    A built decomposition replays the steps of its sweep, then one
-    singleton bag per isolated vertex; any other takes two frozenset
-    differences per bag."""
+    vertices that the bag before lacks.  The recorded steps come first,
+    then one singleton bag per isolated vertex."""
     events = pd._events
-    if events is None:
-        prev: frozenset[Vertex] = frozenset()
-        for bag in pd.bags:
-            yield prev - bag, bag - prev
-            prev = bag
-        return
     yield from events.steps
     before = events.final
     for vert in events.isolated():
@@ -223,72 +230,42 @@ def _transitions(pd: PathDecomposition) -> Iterator[tuple[Collection[Vertex], Co
         before = bag
 
 
-def _largest_bag(order: list[Edge], tags: dict[int, Vertex]) -> int:
-    return max(len(active) + 2 - (t in active) for _, t, active in _sweep(order, tags))
-
-
-def _steps(order: list[Edge], primary: dict[int, Vertex], secondary: dict[int, Vertex]) -> list[_Step]:
-    """The (leaving, entering) step of each bag of the sweep over a
-    non-empty order, from the first and last positions alone: the top end
-    leaves and enters when it changes, the previous bottom end leaves
-    after its last position and the new one enters at its first."""
-    first, last = _spans(order)
-    s, t = order[0]
-    steps: list[_Step] = [((), (primary[s], secondary[t]))]
-    for pos, ((ps, pt), (s, t)) in enumerate(zip(order, islice(order, 1, None)), 2):
-        leaving = (secondary[pt],) if last[pt] == pos - 1 else ()
-        entering = (secondary[t],) if first[t] == pos else ()
-        if s != ps:
-            leaving += (primary[ps],)
-            entering += (primary[s],)
-        steps.append((leaving, entering))
-    return steps
-
-
-def _orientations(d: Drawing) -> tuple[list[Edge], list[Edge], dict[int, Vertex], dict[int, Vertex]]:
-    """The edge orders of the top and the bottom orientation, and the tags
-    of the vertices with edges on the top and on the bottom layer."""
+def _narrower(d: Drawing) -> tuple[str, list[Edge], dict[int, Vertex], dict[int, Vertex], int]:
+    """The orientation to keep: both are swept and the one with the
+    smaller largest bag wins, ties to the top.  Returns its name, its edge
+    order, the tags of the vertices with edges on its primary and on its
+    secondary layer, and the width.  Isolated vertices only add singleton
+    bags, which decide the width only when there is no edge: then both
+    largest edge bags are 0, the top is kept and the width is 0."""
     top = edge_order(d)
     bottom = sorted((x, i) for i, x in d.edges)
-    return top, bottom, _tags("u", bottom), _tags("v", top)
+    u, v = _tags("u", bottom), _tags("v", top)
+    top_size, bottom_size = _largest(_steps(top, u, v)), _largest(_steps(bottom, v, u))
+    if bottom_size < top_size:
+        return "bottom", bottom, v, u, bottom_size - 1
+    return "top", top, u, v, max(top_size, 1) - 1
 
 
 def path_width(d: Drawing) -> int:
-    """``build_path_decomposition(d).width`` without building a bag.
-
-    Both orientations are swept and the smaller largest bag is kept, as
-    the builder does; isolated vertices only add singleton bags, which
-    never decide the width unless there is no edge, and then it is 0.  Time
-    O(m log m) and memory O(m), whatever the layer sizes.
-    """
-    if d.m == 0:
-        return 0
-    top, bottom, u, v = _orientations(d)
-    return min(_largest_bag(top, v), _largest_bag(bottom, u)) - 1
+    """``build_path_decomposition(d).width`` without building a bag, in
+    time O(m log m) and memory O(m), whatever the layer sizes."""
+    return _narrower(d)[-1]
 
 
 def build_path_decomposition(d: Drawing) -> PathDecomposition:
     """One bag per edge in lexicographic order; width at most k + 1 when
     every edge has at most k crossings.
 
-    The construction is asymmetric, so both layer orientations are swept
-    and the narrower one is kept (ties go to the top layer); a bag's size
-    is known from the active set alone, so only the kept orientation's
-    steps are recorded.  The cost is O(m log m), plus O(p + q) for the
-    isolated vertices when the bags are walked.  Isolated vertices get
-    singleton bags at the end so that every vertex is covered; an
-    edgeless drawing has only those, and width 0.
+    The construction is asymmetric, so the orientation ``_narrower``
+    keeps is the one recorded, as its steps.  The cost is O(m log m),
+    plus O(p + q) for the isolated vertices when the bags are walked.
+    Isolated vertices get singleton bags at the end so that every vertex
+    is covered; an edgeless drawing has only those, and width 0.
     """
-    top, bottom, u, v = _orientations(d)
-    if not d.m:
-        return PathDecomposition._built(_Events([], (), d.p, d.q, u, v, 0), "top")
-    top_size, bottom_size = _largest_bag(top, v), _largest_bag(bottom, u)
-    if bottom_size < top_size:
-        order, primary, secondary, orientation, size = bottom, v, u, "bottom", bottom_size
-    else:
-        order, primary, secondary, orientation, size = top, u, v, "top", top_size
-    s, t = order[-1]
-    events = _Events(_steps(order, primary, secondary), (primary[s], secondary[t]), d.p, d.q, u, v, size - 1)
+    orientation, order, primary, secondary, width = _narrower(d)
+    u, v = (primary, secondary) if orientation == "top" else (secondary, primary)
+    final = (primary[order[-1][0]], secondary[order[-1][1]]) if order else ()
+    events = _Events(list(_steps(order, primary, secondary)), width, final, d.p, d.q, u, v)
     return PathDecomposition._built(events, orientation)
 
 

@@ -12,6 +12,8 @@ __all__ = ["to_dot", "to_svg", "to_csv", "EXPORT_FORMATS"]
 
 EXPORT_FORMATS = ("dot", "svg", "csv")
 
+_UNIT = 48  # SVG pixels between neighbouring vertices of a layer
+
 
 def to_dot(d: Drawing) -> str:
     """Graphviz source with rank constraints pinning the two layers."""
@@ -24,12 +26,12 @@ def to_dot(d: Drawing) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_svg(d: Drawing, unit: int = 48) -> str:
+def to_svg(d: Drawing) -> str:
     """Straight-line SVG: u-row on top, v-row below, with a total crossing
     count annotation."""
     total = crossing_profile(d).total
     top_y, bot_y = 40, 160
-    width = (max(d.p, d.q) + 1) * unit
+    width = (max(d.p, d.q) + 1) * _UNIT
     height = bot_y + 50
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -38,15 +40,15 @@ def to_svg(d: Drawing, unit: int = 48) -> str:
     ]
     for i, x in d.sorted_edges():
         parts.append(
-            f'  <line x1="{i * unit}" y1="{top_y}" x2="{x * unit}" y2="{bot_y}" '
+            f'  <line x1="{i * _UNIT}" y1="{top_y}" x2="{x * _UNIT}" y2="{bot_y}" '
             'stroke="black" stroke-width="1"/>'
         )
     for i in range(1, d.p + 1):
-        parts.append(f'  <circle cx="{i * unit}" cy="{top_y}" r="6" fill="white" stroke="black"/>')
-        parts.append(f'  <text x="{i * unit - 8}" y="{top_y - 12}" font-size="12">u{i}</text>')
+        parts.append(f'  <circle cx="{i * _UNIT}" cy="{top_y}" r="6" fill="white" stroke="black"/>')
+        parts.append(f'  <text x="{i * _UNIT - 8}" y="{top_y - 12}" font-size="12">u{i}</text>')
     for x in range(1, d.q + 1):
-        parts.append(f'  <circle cx="{x * unit}" cy="{bot_y}" r="6" fill="white" stroke="black"/>')
-        parts.append(f'  <text x="{x * unit - 8}" y="{bot_y + 24}" font-size="12">v{x}</text>')
+        parts.append(f'  <circle cx="{x * _UNIT}" cy="{bot_y}" r="6" fill="white" stroke="black"/>')
+        parts.append(f'  <text x="{x * _UNIT - 8}" y="{bot_y + 24}" font-size="12">v{x}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -341,6 +341,11 @@ def _quasiplanar_optimum(n: int, h: int) -> tuple[int, int]:
     return p, n - p
 
 
+def _check_density_size(n: int) -> None:
+    if not 2 <= n <= MAX_DENSITY_N:
+        raise ValueError(f"n must be between 2 and {MAX_DENSITY_N} (practical search range)")
+
+
 def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResult:
     """Exact maximum edge count of an n-vertex two-layer drawing under the
     given constraint, with a witness drawing attaining it.
@@ -358,16 +363,14 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
     the incumbent, and the witness is taken from the smallest p attaining
     the optimum.
     """
-    if not 2 <= n <= MAX_DENSITY_N:
-        raise ValueError(f"n must be between 2 and {MAX_DENSITY_N} (practical search range)")
+    _check_density_size(n)
     if threads < 1:
         raise ValueError("threads must be positive")
 
     t0 = time.perf_counter()
     if isinstance(constraint, Quasiplanar):
         p, q = _quasiplanar_optimum(n, constraint.h)
-        witness = Drawing(p, q, frozenset(_grid_cells(p, q)))
-        return SearchResult(p * q, witness, SearchStats(0, (time.perf_counter() - t0) * 1000.0))
+        return SearchResult(p * q, complete_bipartite(p, q), SearchStats(0, (time.perf_counter() - t0) * 1000.0))
     splits = [(p, n - p) for p in range(1, n // 2 + 1)]
     # no cell crosses more than (p - 1)(q - 1) others, so a larger k allows
     # the same drawings; clamped, the state no longer grows with k

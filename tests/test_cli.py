@@ -20,7 +20,7 @@ from layerlens.core import Drawing, brick_decomposition, drawing_from_json, draw
 from layerlens.decomposition import build_path_decomposition, decomposition_to_json
 from layerlens.export import to_csv, to_dot, to_svg
 from layerlens.families import opt2planar, planar4_family, planar6_family, special_s
-from layerlens.search import KPlanar, max_density, random_drawing
+from layerlens.search import MAX_DENSITY_N, KPlanar, max_density, random_drawing
 
 
 @st.composite
@@ -508,13 +508,29 @@ def test_nonpositive_threads_is_usage_error(capsys, command, threads):
     ],
     ids=["gen-out", "search-witness", "search-csv", "pathwidth-out", "export-out", "reproduce-out"],
 )
-def test_unwritable_output_is_usage_error(capsys, tmp_path, k23_file, argv):
-    # the output's directory does not exist
+def test_unwritable_output_is_usage_error(capsys, monkeypatch, tmp_path, k23_file, argv):
+    # the output's directory does not exist; the command fails before it
+    # prints anything or starts its work
+    def run_all(threads=1, elapsed=None):
+        raise AssertionError("the suite ran before the output was opened")
+
+    monkeypatch.setattr(rep, "run_all", run_all)
     argv = [a.format(drawing=k23_file) for a in argv] + [str(tmp_path / "missing" / "x.json")]
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: ")
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_search_checks_n_before_opening_outputs(capsys, tmp_path):
+    witness = tmp_path / "w.json"
+    assert main(["search", "--n", str(MAX_DENSITY_N + 1), "--k", "2", "--witness", str(witness)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n must be between 2 and" in captured.err
+    assert not witness.exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])

@@ -13,6 +13,7 @@ from layerlens.core import Drawing, crossing_profile
 from layerlens.decomposition import (
     DecompositionReport,
     PathDecomposition,
+    _transitions,
     build_path_decomposition,
     decomposition_to_json,
     edge_order,
@@ -488,6 +489,10 @@ def test_json_bags_match_sorted_labels(bags):
     pd = PathDecomposition(tuple(bags))
     expected = [sorted(f"{layer}{idx}" for layer, idx in b) for b in bags]
     assert decomposition_to_json(pd) == {"bags": expected, "width": pd.width}
+    # the steps and width recorded at construction, against the definition
+    assert pd.width == max((len(b) for b in bags), default=0) - 1
+    assert pd.bag_count == len(bags)
+    assert list(_transitions(pd)) == [(prev - b, b - prev) for prev, b in zip([frozenset(), *bags], bags)]
 
 
 @pytest.mark.parametrize(
