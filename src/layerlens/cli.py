@@ -263,6 +263,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         label = f"h={args.quasi}"
     threads = _threads(args)
     _check_density_size(args.n)
+    if args.witness and args.csv and os.path.realpath(args.witness) == os.path.realpath(args.csv):
+        raise _UsageError(f"--witness and --csv name the same file: {args.csv}")
     with _outputs(args.witness, args.csv) as (witness, csv):
         result = max_density(args.n, constraint, threads=threads)
         note = _formula_note(kind, param, args.n, result.best_m)

@@ -29,14 +29,16 @@ grid cells in lexicographic (row, column) order:
 * per-split statistics: ``SearchStats.splits`` holds the nodes of every
   split, the part of them spent on the suffix optima and the number of
   suffixes that needed a search,
-* a DFS that knows the constraint only through the include step it is
-  given: including a cell returns a new state whose blocked-cell bitmask
-  marks the cells that can no longer be added, so the bound is one
-  popcount.  The k-planar state is bit-sliced masks, "crossed by at
-  least j chosen cells", packed into one integer, plane j at bits
-  jN..(j+1)N-1 for N cells, so one shift, AND and OR advance every
-  crossing counter at once.  The tests run the same DFS with a
-  quasiplanar include step, the reference route for the closed form.
+* one k-planar DFS kernel whose state is two integers: a blocked-cell
+  bitmask marking the cells that can no longer be added, so the bound is
+  one popcount, and bit-sliced masks, "crossed by at least j chosen
+  cells", packed into one integer, plane j at bits jN..(j+1)N-1 for N
+  cells, so one shift, AND and OR, written out in the kernel, advance
+  every crossing counter at once.  A node is counted when its parent
+  creates it, whether or not it is pruned; the parent bound-checks each
+  child before entering it, and the exclude child continues in its
+  parent's frame.  The tests keep a DFS that takes an include step as a
+  function, the reference route for the kernel and for the closed form.
 
 ``minimax_k`` minimizes the maximum per-edge crossing count of a
 drawing over all re-orderings of both of its layers, so the order the
@@ -53,10 +55,8 @@ from __future__ import annotations
 
 import random
 import time
-from collections.abc import Callable
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import partial
 from itertools import permutations, product, repeat
 
 from .core import Drawing, Edge, _is_int
@@ -166,90 +166,52 @@ def _cross_masks(cells: list[Edge]) -> list[int]:
     return masks
 
 
-_State = tuple[int, int]  # (blocked mask, the constraint's packed masks), never mutated
-_Include = Callable[[int, int, _State], _State]  # (pos, chosen, state) -> new state
-_Step = Callable[[list[int]], tuple[_Include, _State]]  # cross masks -> (include, start state)
-
-
-def _kplanar_include(k: int, cross: list[int]) -> tuple[_Include, _State]:
-    """Include step for "every edge crossed at most k times".
-
-    With N cells, bits jN..(j+1)N-1 of ``packed`` mark the cells crossed
-    by at least j chosen cells (j = 0..k+1, plane 0 is every cell).
-    Including a cell moves every plane up one into the cells it crosses,
-    in one shift, AND and OR over all planes at once (the bit-parallel
-    counters of shift-and matching, Baeza-Yates and Gonnet, CACM 1992).
-    A later cell is blocked once it is crossed k+1 times or crosses a
-    chosen cell that has k crossings.
-    """
-    n = len(cross)
-    cells = (1 << n) - 1
-    # cross[pos] copied into planes 1..k+1; the shift's plane k+2 drops off
-    rep = sum(1 << j * n for j in range(1, k + 2))
-    cross_rep = [cm * rep for cm in cross]
-    kn = k * n
-    top = kn + n
-
-    def include(pos: int, chosen: int, state: _State) -> _State:
-        blocked, packed = state
-        grown = packed | ((packed << n) & cross_rep[pos])
-        was = packed >> kn & cells
-        # chosen cells that have just reached k crossings, and pos if it has k
-        full = (grown >> kn & ~was & chosen) | (was & (1 << pos))
-        blocked |= grown >> top
-        while full:
-            low = full & -full
-            blocked |= cross[low.bit_length() - 1]
-            full ^= low
-        return blocked, grown
-
-    return include, (0, cells)
-
-
 class _SuffixSolved(Exception):
     """Raised by a suffix solve at its first leaf one above the incumbent,
     the most one more cell can add."""
 
 
-def _search_split(
-    p: int, q: int, step: _Step, start_best: int
-) -> tuple[int, list[Edge] | None, SplitStats, list[int]]:
+def _search_split(p: int, q: int, k: int, start_best: int) -> tuple[int, list[Edge] | None, SplitStats, list[int]]:
     """Best edge count over subsets of the p x q grid, strictly above
-    ``start_best``, under the constraint that ``step`` encodes; returns
-    (best, cells or None if no improvement, stats, the bound table ``cap``
+    ``start_best``, with every edge crossed at most k times; returns (best,
+    cells or None if no improvement, stats, the bound table ``cap``
     described below).
-
-    ``step(cross)``, given the crossing mask of each cell, returns the
-    include step and the empty drawing's state.  The include step returns
-    a new state whose ``blocked`` bitmask marks the cells that can no
-    longer be added; the DFS knows the constraint only through it.  The
-    constraint must depend on crossings alone and be hereditary: every
-    subset of an allowed drawing is allowed.
 
     The DFS decides cells in lexicographic order, include branch first.
     Cells that cross nothing are always included: adding them changes no
     crossing, so it never violates the constraint, and it never hurts the
-    objective.
+    objective.  A node is counted when its parent creates it, whether or
+    not its bound then prunes it; the root counts itself.
+
+    The state of a node is two integers.  ``blocked`` marks the cells that
+    can no longer be added.  With N cells, bits jN..(j+1)N-1 of ``packed``
+    mark the cells crossed by at least j chosen cells (j = 0..k+1, plane 0
+    is every cell).  Including a cell moves every plane up one into the
+    cells it crosses, in one shift, AND and OR over all planes at once (the
+    bit-parallel counters of shift-and matching, Baeza-Yates and Gonnet,
+    CACM 1992).  A later cell is blocked once it is crossed k+1 times or
+    crosses a chosen cell that has k crossings.  The include step is
+    written out in the kernel, the parent bound-checks each child before
+    entering it, and the exclude child continues in its parent's frame.
 
     The bound at cell ``pos`` is ``m + min(cap[pos], addable)``, where
     ``addable`` counts the later cells outside ``blocked`` and ``cap[pos]``
-    is the most cells of ``pos..N-1`` the constraint allows taken on their
-    own (a Russian-doll bound).  The constraint is hereditary, so the
-    later cells of any completion form an allowed drawing by themselves and
-    number at most ``cap[pos]``.  From the second row on, ``cap`` is exact:
-    it is settled last cell first, keeping ``wit``, the mask of an optimal
+    is the most cells of ``pos..N-1`` that are k-planar on their own (a
+    Russian-doll bound).  The constraint is hereditary, so the later cells
+    of any completion form an allowed drawing by themselves and number at
+    most ``cap[pos]``.  From the second row on, ``cap`` is exact: it is
+    settled last cell first, keeping ``wit``, the mask of an optimal
     drawing of the suffix ``pos + 1..N-1``.  One more cell adds at most one
-    edge, so ``cap[pos]`` is ``cap[pos + 1]`` or one more.  If the include
-    step, replayed over ``wit`` and ``pos`` in cell order, finds no cell
-    blocked, it is one more and ``pos`` joins ``wit`` with no search; a
-    cell of the first column crosses no later cell, so it always joins.
-    Otherwise this same DFS solves the suffix alone, without rotation
-    canonicalization, from the incumbent ``cap[pos + 1]``, and stops at the
-    first leaf one above it, whose cells become ``wit``; ``solves`` counts
-    these searches.  On the first row ``cap`` is ``cap[q] + (q - pos)``,
-    because exact solves there cost more nodes than they save.  An
-    admissible bound never prunes the first optimal leaf in DFS order, so
-    the result does not depend on it.
+    edge, so ``cap[pos]`` is ``cap[pos + 1]`` or one more.  If every cell
+    of ``wit`` and ``pos`` crosses at most k of them, it is one more and
+    ``pos`` joins ``wit`` with no search; a cell of the first column
+    crosses no later cell, so it always joins.  Otherwise this same DFS
+    solves the suffix alone, without rotation canonicalization, from the
+    incumbent ``cap[pos + 1]``, and stops at the first leaf one above it,
+    whose cells become ``wit``; ``solves`` counts these searches.  On the
+    first row ``cap`` is ``cap[q] + (q - pos)``, because exact solves there
+    cost more nodes than they save.  An admissible bound never prunes the
+    first optimal leaf in DFS order, so the result does not depend on it.
 
     Rotation canonicalization: the 180 degree rotation maps cell t to cell
     N-1-t and preserves crossings, hence the constraint, so each drawing and
@@ -261,51 +223,74 @@ def _search_split(
     cells = _grid_cells(p, q)
     n_cells = len(cells)
     cross = _cross_masks(cells)
-    future = [((1 << n_cells) - 1) >> pos << pos for pos in range(n_cells + 1)]
-    include, start = step(cross)
+    ones = (1 << n_cells) - 1
+    future = [ones >> pos << pos for pos in range(n_cells + 1)]
+    # cross[pos] copied into planes 1..k+1; the shift's plane k+2 drops off
+    rep = sum(1 << j * n_cells for j in range(1, k + 2))
+    cross_rep = [cm * rep for cm in cross]
+    kn = k * n_cells
+    top = kn + n_cells
     nodes = 0
     best_chosen: int | None = None
     cap = [0] * (n_cells + 1)
 
-    def rec(pos: int, m: int, chosen: int, state: _State, eq: bool) -> None:
+    def dfs(pos: int, m: int, chosen: int, blocked: int, packed: int, eq: bool) -> None:
+        """The subtree of a node already counted and bound-checked; the
+        loop walks its chain of exclude children."""
         nonlocal nodes, best, best_chosen
+        while pos < n_cells:
+            mirror = n_cells - 1 - pos
+            eq_inc = eq
+            force_include = False
+            if eq and mirror < pos:
+                if chosen >> mirror & 1:
+                    force_include = True
+                else:
+                    eq_inc = False
+
+            if not blocked >> pos & 1:
+                # the include child; its cap test m + 1 + cap[pos + 1] > best
+                # cannot fail, as this node passed m + cap[pos] > best with no
+                # leaf found since, and cap[pos] <= cap[pos + 1] + 1
+                nodes += 1
+                grown = packed | ((packed << n_cells) & cross_rep[pos])
+                # chosen cells that have just reached k crossings; pos needs
+                # no such step, as crossing is transitive along cell order:
+                # a later cell crossing pos crosses the cells pos crosses,
+                # so it is blocked by plane k + 1 once pos has k crossings
+                full = (grown ^ packed) >> kn & chosen
+                grown_blocked = blocked | grown >> top
+                while full:
+                    low = full & -full
+                    grown_blocked |= cross[low.bit_length() - 1]
+                    full ^= low
+                if m + (future[pos + 1] & ~grown_blocked).bit_count() >= best:
+                    dfs(pos + 1, m + 1, chosen | 1 << pos, grown_blocked, grown, eq_inc)
+            if force_include or not cross[pos]:
+                return
+            nodes += 1
+            pos += 1
+            if m + cap[pos] <= best or m + (future[pos] & ~blocked).bit_count() <= best:
+                return
+        best = m
+        best_chosen = chosen
+        if m == limit:
+            raise _SuffixSolved
+
+    def root(pos: int, eq: bool) -> None:
+        nonlocal nodes
         nodes += 1
-        blocked = state[0]
-        if m + cap[pos] <= best or m + (future[pos] & ~blocked).bit_count() <= best:
-            return
-        if pos == n_cells:
-            best = m
-            best_chosen = chosen
-            if m == limit:
-                raise _SuffixSolved
-            return
-
-        mirror = n_cells - 1 - pos
-        eq_inc = eq
-        force_include = False
-        if eq and mirror < pos:
-            if chosen >> mirror & 1:
-                force_include = True
-            else:
-                eq_inc = False
-
-        if not blocked >> pos & 1:
-            rec(pos + 1, m + 1, chosen | (1 << pos), include(pos, chosen, state), eq_inc)
-        if cross[pos] and not force_include:
-            rec(pos + 1, m, chosen, state, eq)
+        if cap[pos] > best and n_cells - pos > best:
+            dfs(pos, 0, 0, 0, ones, eq)
 
     def allowed(mask: int) -> bool:
-        """Whether the cells of ``mask`` form an allowed drawing: the include
-        step replayed in cell order, failing on a blocked cell."""
-        chosen, state = 0, start
-        while mask:
-            low = mask & -mask
-            t = low.bit_length() - 1
-            if state[0] & low:
+        """Whether every cell of ``mask`` crosses at most k of its cells."""
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if (cross[low.bit_length() - 1] & mask).bit_count() > k:
                 return False
-            state = include(t, chosen, state)
-            chosen |= low
-            mask ^= low
+            rest ^= low
         return True
 
     wit = 0  # an optimal drawing of the suffix pos + 1..N-1
@@ -319,7 +304,7 @@ def _search_split(
         solves += 1
         best = limit - 1
         try:
-            rec(pos, 0, 0, start, False)
+            root(pos, False)
         except _SuffixSolved:
             wit = best_chosen
         cap[pos] = best
@@ -329,7 +314,7 @@ def _search_split(
     best = start_best
     best_chosen = None
     limit = n_cells + 1  # out of reach: the main DFS runs to the end
-    rec(0, 0, 0, start, True)
+    root(0, True)
     best_cells = None if best_chosen is None else [cells[t] for t in range(n_cells) if best_chosen >> t & 1]
     return best, best_cells, SplitStats(p, q, nodes, bound_nodes, solves), cap
 
@@ -342,6 +327,8 @@ def _quasiplanar_optimum(n: int, h: int) -> tuple[int, int]:
 
 
 def _check_density_size(n: int) -> None:
+    if not _is_int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if not 2 <= n <= MAX_DENSITY_N:
         raise ValueError(f"n must be between 2 and {MAX_DENSITY_N} (practical search range)")
 
@@ -364,8 +351,10 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
     the optimum.
     """
     _check_density_size(n)
-    if threads < 1:
-        raise ValueError("threads must be positive")
+    if not _is_int(threads) or threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads!r}")
+    if not isinstance(constraint, (KPlanar, Quasiplanar)):
+        raise TypeError(f"constraint must be KPlanar or Quasiplanar, got {constraint!r}")
 
     t0 = time.perf_counter()
     if isinstance(constraint, Quasiplanar):
@@ -374,7 +363,7 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
     splits = [(p, n - p) for p in range(1, n // 2 + 1)]
     # no cell crosses more than (p - 1)(q - 1) others, so a larger k allows
     # the same drawings; clamped, the state no longer grows with k
-    steps = [partial(_kplanar_include, min(constraint.k, (p - 1) * (q - 1))) for p, q in splits]
+    ks = [min(constraint.k, (p - 1) * (q - 1)) for p, q in splits]
     split_stats: list[SplitStats] = []
     best = 0
     best_split: tuple[int, int] | None = None
@@ -388,15 +377,15 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
         def results():
             # lazy, so each split starts from the best of the splits before
             # it, and the parallel ones from the best of the sequential ones
-            for (p, q), step in zip(splits[:n_seq], steps):
-                yield _search_split(p, q, step, best)
+            for (p, q), k in zip(splits[:n_seq], ks):
+                yield _search_split(p, q, k, best)
             if n_seq < len(splits):
                 # imported here, so that `import layerlens` leaves out multiprocessing
                 from concurrent.futures import ProcessPoolExecutor
 
                 pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
                 ps, qs = zip(*splits[n_seq:])
-                yield from pool.map(_search_split, ps, qs, steps[n_seq:], repeat(best))
+                yield from pool.map(_search_split, ps, qs, ks[n_seq:], repeat(best))
 
         for split, (got, cells, stats, _) in zip(splits, results()):
             split_stats.append(stats)
@@ -528,6 +517,9 @@ def random_drawing(p: int, q: int, m: int, seed: int) -> Drawing:
     seed always yields the same drawing.  It samples the cells' indices,
     which picks the same cells without building the list of all p * q.
     """
+    for name, value in (("p", p), ("q", q), ("m", m)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if m > p * q:
         raise ValueError(f"m={m} exceeds the grid capacity {p * q}")
     if m < 0:

@@ -533,6 +533,25 @@ def test_search_checks_n_before_opening_outputs(capsys, tmp_path):
     assert not witness.exists()
 
 
+@pytest.mark.parametrize("second", ["same.txt", "./same.txt", "link.txt"])
+def test_search_witness_and_csv_on_one_file_is_usage_error(capsys, monkeypatch, tmp_path, second):
+    # the two outputs would overwrite each other, so one path for both,
+    # however spelled, fails before the file is opened or the search runs
+    def fail(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(cli, "max_density", fail)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "same.txt").write_text("kept")
+    (tmp_path / "link.txt").symlink_to("same.txt")
+    assert main(["search", "--n", "6", "--k", "2", "--witness", "same.txt", "--csv", second]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert captured.err.count("\n") == 1
+    assert (tmp_path / "same.txt").read_text() == "kept"
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
 def test_bad_threads_variable_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("LAYERLENS_THREADS", value)

@@ -41,21 +41,21 @@ from layerlens.search import (
 _max_density = cache(max_density)
 
 
-def _step(c: Constraint):
-    """The include-step factory that ``_search_split`` takes for c: the
-    packed k-planar step, or the quasiplanar reference step.  k is not
-    clamped to the grid's crossing cap; a larger k allows the same drawings
-    and only widens the state."""
+def _split(p: int, q: int, c: Constraint, start_best: int):
+    """``_search_split`` for a k-planar c, and the reference DFS with the
+    quasiplanar include step for a quasiplanar one.  k is not clamped to
+    the grid's crossing cap; a larger k allows the same drawings and only
+    widens the state."""
     if isinstance(c, KPlanar):
-        return partial(search._kplanar_include, c.k)
-    return partial(_quasiplanar_include, c.h)
+        return _search_split(p, q, c.k, start_best)
+    return _reference_split(p, q, partial(_quasiplanar_include, c.h), start_best)
 
 
 def _transposed_split(p: int, q: int, c: Constraint, start_best: int) -> tuple[int, list | None, SplitStats]:
-    """``_search_split`` on the transposed q x p grid, one row per vertex of
-    the larger layer; returns (best, cells mapped back to the p x q frame
-    with (x, i) -> (i, x) or None, stats of the p x q split)."""
-    best, cells, stats, _ = _search_split(q, p, _step(c), start_best)
+    """``_split`` on the transposed q x p grid, one row per vertex of the
+    larger layer; returns (best, cells mapped back to the p x q frame with
+    (x, i) -> (i, x) or None, stats of the p x q split)."""
+    best, cells, stats, _ = _split(q, p, c, start_best)
     if cells is not None:
         cells = [(i, x) for x, i in cells]
     return best, cells, dataclasses.replace(stats, p=p, q=q)
@@ -163,6 +163,18 @@ class TestMaxDensity:
             max_density(1, KPlanar(2))
         with pytest.raises(ValueError):
             max_density(15, KPlanar(2))
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_rejects_non_integer_parameters(self, value):
+        with pytest.raises(ValueError):
+            max_density(value, KPlanar(5))
+        with pytest.raises(ValueError):
+            max_density(6, KPlanar(2), threads=value)
+
+    @pytest.mark.parametrize("constraint", ["x", 2, None, Drawing(1, 1)])
+    def test_rejects_a_constraint_of_another_type(self, constraint):
+        with pytest.raises(TypeError):
+            max_density(6, constraint)
 
     def test_parallel_matches_sequential(self):
         # at n = 11 the splits p = 4 and 5 run in worker processes; a
@@ -355,7 +367,7 @@ def test_suffix_bound_table(p, q):
     constraints = [KPlanar(k) for k in range(6)] + [Quasiplanar(h) for h in (2, 3, 4)]
     optima = _brute_force_suffix_optima(p, q, constraints)
     for c in constraints:
-        best, _, _, cap = _search_split(p, q, _step(c), 0)
+        best, _, _, cap = _split(p, q, c, 0)
         want = optima[c]
         assert cap[q:] == want[q:], c
         assert all(cap[pos] >= want[pos] for pos in range(q)), c
@@ -371,8 +383,97 @@ def test_suffix_bound_table_beyond_twelve_cells(p, q, start):
     constraints = [KPlanar(k) for k in range(6)] + [Quasiplanar(h) for h in (2, 3, 4)]
     optima = _brute_force_suffix_optima(p, q, constraints, start)
     for c in constraints:
-        cap = _search_split(p, q, _step(c), 0)[3]
+        cap = _split(p, q, c, 0)[3]
         assert cap[start:] == optima[c], c
+
+
+def _reference_split(p: int, q: int, step, start_best: int):
+    """The split search with the constraint given as an include step: the
+    reference route for the kernel ``_search_split`` and, with
+    ``_quasiplanar_include``, for the quasiplanar closed form.  It returns
+    what the kernel does, and visits and counts the same nodes; see
+    ``_search_split`` for the bound, the suffix table ``cap`` and the
+    rotation canonicalization.
+
+    ``step(cross)``, given the crossing mask of each cell, returns the
+    include step and the empty drawing's state.  The include step
+    ``include(pos, chosen, state)`` returns a new state whose first item is
+    the bitmask of the cells that can no longer be added; the DFS knows the
+    constraint only through it.  The constraint must depend on crossings
+    alone and be hereditary.  Whether the suffix witness extends by a cell
+    is decided by replaying the include step over it in cell order."""
+    cells = search._grid_cells(p, q)
+    n_cells = len(cells)
+    cross = search._cross_masks(cells)
+    future = [((1 << n_cells) - 1) >> pos << pos for pos in range(n_cells + 1)]
+    include, start = step(cross)
+    nodes = 0
+    best_chosen = None
+    cap = [0] * (n_cells + 1)
+
+    def rec(pos, m, chosen, state, eq):
+        nonlocal nodes, best, best_chosen
+        nodes += 1
+        blocked = state[0]
+        if m + cap[pos] <= best or m + (future[pos] & ~blocked).bit_count() <= best:
+            return
+        if pos == n_cells:
+            best = m
+            best_chosen = chosen
+            if m == limit:
+                raise search._SuffixSolved
+            return
+
+        mirror = n_cells - 1 - pos
+        eq_inc = eq
+        force_include = False
+        if eq and mirror < pos:
+            if chosen >> mirror & 1:
+                force_include = True
+            else:
+                eq_inc = False
+
+        if not blocked >> pos & 1:
+            rec(pos + 1, m + 1, chosen | (1 << pos), include(pos, chosen, state), eq_inc)
+        if cross[pos] and not force_include:
+            rec(pos + 1, m, chosen, state, eq)
+
+    def allowed(mask):
+        chosen, state = 0, start
+        while mask:
+            low = mask & -mask
+            t = low.bit_length() - 1
+            if state[0] & low:
+                return False
+            state = include(t, chosen, state)
+            chosen |= low
+            mask ^= low
+        return True
+
+    wit = 0
+    solves = 0
+    for pos in range(n_cells - 1, q - 1, -1):
+        limit = cap[pos + 1] + 1
+        cap[pos] = limit
+        if allowed(wit | 1 << pos):
+            wit |= 1 << pos
+            continue
+        solves += 1
+        best = limit - 1
+        try:
+            rec(pos, 0, 0, start, False)
+        except search._SuffixSolved:
+            wit = best_chosen
+        cap[pos] = best
+    for pos in range(q):
+        cap[pos] = cap[q] + q - pos
+    bound_nodes = nodes
+    best = start_best
+    best_chosen = None
+    limit = n_cells + 1
+    rec(0, 0, 0, start, True)
+    best_cells = None if best_chosen is None else [cells[t] for t in range(n_cells) if best_chosen >> t & 1]
+    return best, best_cells, SplitStats(p, q, nodes, bound_nodes, solves), cap
 
 
 def _quasiplanar_include(h: int, cross: list[int]):
@@ -401,7 +502,8 @@ def _quasiplanar_include(h: int, cross: list[int]):
 def _tuple_kplanar_include(k: int, cross: list[int]):
     """The k-planar include step with one mask per plane in a tuple,
     ``levels[j]`` marking the cells crossed by at least j chosen cells
-    (level 0 is every cell): the reference for the packed step."""
+    (level 0 is every cell); run by ``_reference_split``, the reference
+    for the packed planes that the kernel advances in place."""
 
     def include(pos, chosen, state):
         blocked, levels = state
@@ -419,33 +521,28 @@ def _tuple_kplanar_include(k: int, cross: list[int]):
 
 
 @st.composite
-def _include_walks(draw):
-    """A p x q grid up to 6 x 6, a k up to one past the crossing cap
-    (p - 1)(q - 1), and a coin per cell deciding whether an unblocked cell
-    is included."""
-    p, q = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    k = draw(st.integers(0, (p - 1) * (q - 1) + 1))
-    return p, q, k, draw(st.lists(st.booleans(), min_size=p * q, max_size=p * q))
+def _kplanar_splits(draw):
+    """A p x q grid up to 6 x 5 or 5 x 6, a k up to one past the crossing
+    cap (p - 1)(q - 1), and an incumbent from 0 to the grid's size.  The
+    6 x 6 grid is left out: at k = 8 to 16 the reference visits 1.7M to
+    7.3M nodes."""
+    p = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 5 if p == 6 else 6))
+    return p, q, draw(st.integers(0, (p - 1) * (q - 1) + 1)), draw(st.integers(0, p * q))
 
 
-@settings(max_examples=300, deadline=None)
-@given(_include_walks())
-def test_packed_kplanar_include_matches_tuple_of_planes(walk):
-    p, q, k, coins = walk
-    cross = search._cross_masks(search._grid_cells(p, q))
-    n_cells, ones = p * q, (1 << p * q) - 1
-    packed_step, packed = search._kplanar_include(k, cross)
-    tuple_step, ref = _tuple_kplanar_include(k, cross)
-    chosen = 0
-    for pos, coin in enumerate(coins):
-        if not coin or ref[0] >> pos & 1:
-            continue
-        packed, ref = packed_step(pos, chosen, packed), tuple_step(pos, chosen, ref)
-        chosen |= 1 << pos
-        assert packed[0] == ref[0], (pos, chosen)
-        planes = [packed[1] >> j * n_cells & ones for j in range(k + 2)]
-        assert planes == [level & ones for level in ref[1]], (pos, chosen)
-        assert packed[1] >> (k + 2) * n_cells == 0
+@settings(max_examples=30, deadline=None)
+@given(_kplanar_splits())
+def test_kernel_matches_the_reference_dfs(split):
+    # best, cells, stats (nodes, bound nodes, solves) and the bound table
+    p, q, k, start_best = split
+    assert _search_split(p, q, k, start_best) == _reference_split(p, q, partial(_tuple_kplanar_include, k), start_best)
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 31) for q in range(1, 31) if p * q <= 30])
+def test_kernel_matches_the_reference_dfs_on_every_small_grid(p, q):
+    for k in range(9):
+        assert _search_split(p, q, k, 0) == _reference_split(p, q, partial(_tuple_kplanar_include, k), 0), k
 
 
 @pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 13) for q in range(1, 13) if p * q <= 12])
@@ -454,7 +551,7 @@ def test_layer_swap_second_route(p, q):
     # either search, those of the transposed one mapped back, are an
     # allowed p x q drawing
     for c in [KPlanar(k) for k in range(4)] + [Quasiplanar(h) for h in range(2, 5)]:
-        best, cells, _, _ = _search_split(p, q, _step(c), 0)
+        best, cells, _, _ = _split(p, q, c, 0)
         got, back, stats = _transposed_split(p, q, c, 0)
         assert (got, stats.p, stats.q) == (best, p, q), c
         for found in (cells, back):
@@ -589,6 +686,15 @@ class TestRandomDrawing:
     def test_rejects_overfull(self):
         with pytest.raises(ValueError):
             random_drawing(2, 2, 5, 0)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_rejects_non_integer_parameters(self, value):
+        with pytest.raises(ValueError):
+            random_drawing(3, 3, value, 1)
+        with pytest.raises(ValueError):
+            random_drawing(value, 3, 1, 1)
+        with pytest.raises(ValueError):
+            random_drawing(3, value, 1, 1)
 
 
 class TestBipartiteGraph:
