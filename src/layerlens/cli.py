@@ -33,7 +33,7 @@ from .core import (
     load_drawing,
     mutually_crossing_number,
 )
-from .decomposition import build_path_decomposition, decomposition_to_json, path_width, validate_decomposition
+from .decomposition import _write_decomposition_json, build_path_decomposition, path_width, validate_decomposition
 from .search import (
     MAX_DENSITY_N,
     KPlanar,
@@ -310,7 +310,7 @@ def _cmd_pathwidth(args: argparse.Namespace) -> int:
         for prop, witness in report.violations:
             print(f"violated {prop}: {witness}")
         if out:
-            _dump_json(decomposition_to_json(pd), out)
+            _write_decomposition_json(pd, out)
     return 0
 
 

@@ -398,26 +398,13 @@ def _layout(level: int) -> tuple[Callable[[object], str], str, str]:
     return json.JSONEncoder(separators=("," + inner, ": ")).encode, inner, inner[:-2]
 
 
-def _plain_strs(items: list | tuple) -> bool:
-    """True when every item is a str and json writes each one as its
-    characters between quotes: their concatenation is printable ASCII
-    without a quote or backslash.  json writes a str subclass as its
-    value, so subclasses count as str here."""
-    try:
-        text = "".join(items)
-    except TypeError:  # an item that is not a str
-        return False
-    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
-
-
 def _json_leaf(obj: object, level: int) -> str | None:
     """The text of ``obj`` ``level`` deep as one chunk when it is a
     scalar, an empty container or a list whose items all have a scalar
     type (exactly str, int, float, bool or None); None otherwise.
 
-    Two kinds of list are joined in Python, which costs less than a call
-    to the encoder: exact ints, whose ``str`` is json's text, and strs
-    that need no escape (``_plain_strs``).  Bools and other int
+    A list of exact ints is joined in Python, which costs less than a call
+    to the encoder, as their ``str`` is json's text.  Bools and other int
     subclasses are not exact ints, so they go to the encoder with every
     other list of scalars.
     """
@@ -427,8 +414,6 @@ def _json_leaf(obj: object, level: int) -> str | None:
         encode, inner, outer = _layout(level)
         if _INT.issuperset(map(type, obj)):
             return "[" + inner + ("," + inner).join(map(str, obj)) + outer + "]"
-        if _plain_strs(obj):
-            return "[" + inner + '"' + ('",' + inner + '"').join(obj) + '"' + outer + "]"
         if not _SCALARS.issuperset(map(type, obj)):
             return None
         return f"[{inner}{encode(obj)[1:-1]}{outer}]"

@@ -31,22 +31,27 @@ built decomposition records the steps of its kept sweep; one made from
 bags, corrupted ones included, records the two frozenset differences of
 each pair of neighbouring bags at construction.  ``_transitions`` yields
 the (leaving, entering) pair of every bag from the events alone.  The
-validator and the JSON writer read only ``_transitions``, and ``bags``
+validator and ``_sorted_labels`` read only ``_transitions``, and ``bags``
 of a built decomposition replays the events once on first use.
-Building, validating and writing the JSON then cost O(m log m + p + q)
-plus the size of the output, and no frozenset is made per bag unless
-``bags`` is read.
+``_sorted_labels`` keeps the current bag's labels sorted, each next to
+its JSON text, encoded once per vertex; ``decomposition_to_json`` copies
+the labels of each bag, and ``_write_decomposition_json`` writes each
+bag's text as it comes and holds one bag at a time.  Building,
+validating and writing the JSON then cost O(m log m + p + q) plus the
+size of the output, writing holds memory O(m + p + q) whatever the size
+of the output, and no frozenset is made per bag unless ``bags`` is read.
 """
 
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate, islice
+from typing import TextIO
 
-from .core import Drawing, Edge
+from .core import Drawing, Edge, _layout
 
 Vertex = tuple[str, int]  # ("u", i) or ("v", x)
 
@@ -366,30 +371,65 @@ def validate_decomposition(d: Drawing, pd: PathDecomposition) -> DecompositionRe
     return DecompositionReport(not violations, pd.width, tuple(violations))
 
 
+def _sorted_labels(pd: PathDecomposition) -> Iterator[tuple[list[str], list[str]]]:
+    """For each bag of pd in turn, its sorted list of "u<i>"/"v<x>" labels
+    and, index for index, the JSON text of each label; the same two lists,
+    updated in place between bags.
+
+    Each vertex is labelled and encoded once, by the encoder the shared
+    JSON writer uses, however many bags hold it.  At each transition the
+    leaving labels are deleted at ``bisect_left`` and the entering ones
+    inserted at ``bisect_right``, in both lists at the same index, so the
+    lists stay sorted by the label, not by its quoted text.  Between
+    consecutive bags of a sweep at most two vertices leave and two enter,
+    so the cost is O(bag size) list shifting per bag rather than a sort.
+    Two vertices may share a label, such as "u11" of ("u", 11) and
+    ("u1", 1); their texts are equal too, so deleting either gives the
+    same lists.  An entry that is not a (layer, index) pair, which the
+    validator reports under P.1, is labelled with its repr, as in the
+    validator's messages."""
+    encode = _layout(0)[0]
+    names: dict[Vertex, tuple[str, str]] = {}
+    labels: list[str] = []
+    texts: list[str] = []
+    for leaving, entering in _transitions(pd):
+        for vert in leaving:
+            at = bisect_left(labels, names[vert][0])
+            del labels[at], texts[at]
+        for vert in entering:
+            name = names.get(vert)
+            if name is None:
+                label = _name(vert)
+                name = names[vert] = (label, encode(label))
+            at = bisect_right(labels, name[0])
+            labels.insert(at, name[0])
+            texts.insert(at, name[1])
+        yield labels, texts
+
+
 def decomposition_to_json(pd: PathDecomposition) -> dict:
     """JSON form: bags as sorted lists of "u<i>"/"v<x>" labels, plus the
     width.
 
-    Each vertex is labelled once, however many bags hold it.  One sorted
-    list of the current bag's labels is kept: at each transition the
-    leaving labels are deleted and the entering ones inserted by
-    bisection, and each bag is a copy of the list.  Between consecutive
-    bags of a sweep at most two vertices leave and two enter, so the cost
-    is O(sum of bag sizes) list copying rather than a sort per bag.  Any
-    bags give ``sorted``'s lists, a label shared by two vertices, such as
-    "u11" of ("u", 11) and ("u1", 1), included.  An entry that is not a
-    (layer, index) pair, which the validator reports under P.1, is
-    labelled with its repr, as in the validator's messages."""
-    labels: dict[Vertex, str] = {}
-    bags = []
-    current: list[str] = []
-    for leaving, entering in _transitions(pd):
-        for vert in leaving:
-            del current[bisect_left(current, labels[vert])]
-        for vert in entering:
-            label = labels.get(vert)
-            if label is None:
-                label = labels[vert] = _name(vert)
-            insort(current, label)
-        bags.append(current[:])
-    return {"bags": bags, "width": pd.width}
+    Each bag is a copy of the one sorted list ``_sorted_labels`` keeps, so
+    the cost is O(sum of bag sizes) list copying rather than a sort per
+    bag.  Any bags give ``sorted``'s lists, a label shared by two
+    vertices included; an entry that is not a (layer, index) pair is
+    labelled with its repr."""
+    return {"bags": [labels[:] for labels, _ in _sorted_labels(pd)], "width": pd.width}
+
+
+def _write_decomposition_json(pd: PathDecomposition, f: TextIO) -> None:
+    """Write ``json.dumps(decomposition_to_json(pd), indent=2)`` to the text
+    stream f, one bag at a time.
+
+    Each bag's text is its labels' JSON texts from ``_sorted_labels``,
+    joined between its brackets, so no label is encoded twice and no bag
+    is kept after it is written: memory stays O(m + p + q) however long
+    the output is."""
+    f.write('{\n  "bags": [')
+    sep, close = "\n    ", "]"
+    for _, texts in _sorted_labels(pd):
+        f.write(sep + ("[\n      " + ",\n      ".join(texts) + "\n    ]" if texts else "[]"))
+        sep, close = ",\n    ", "\n  ]"
+    f.write(f'{close},\n  "width": {pd.width}\n}}')

@@ -516,8 +516,11 @@ def random_drawing(p: int, q: int, m: int, seed: int) -> Drawing:
     m-subset of the grid cells listed in lexicographic order, so the same
     seed always yields the same drawing.  It samples the cells' indices,
     which picks the same cells without building the list of all p * q.
+    The seed, like p, q and m, must be an exact int: None, which would
+    seed from the operating system, a bool, a float or a str raises
+    ValueError.
     """
-    for name, value in (("p", p), ("q", q), ("m", m)):
+    for name, value in (("p", p), ("q", q), ("m", m), ("seed", seed)):
         if not _is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if m > p * q:

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import tracemalloc
 
@@ -351,6 +352,25 @@ class TestPathwidthCommand:
         save_drawing(drawing, str(src))
         assert main(["pathwidth", str(src), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_out_memory_stays_below_output(self, tmp_path, capsys):
+        # the decomposition is written one bag at a time; holding every bag
+        # as a list of labels would add about 60% of the output's length to
+        # the peak of the same command without --out
+        src, out = tmp_path / "d.json", tmp_path / "pd.json"
+        save_drawing(random_drawing(250, 250, 2000, 1), str(src))
+        assert main(["pathwidth", str(src), "--out", str(out)]) == 0
+        size = out.stat().st_size
+        peaks = []
+        for extra in ([], ["--out", os.devnull]):
+            tracemalloc.start()
+            try:
+                assert main(["pathwidth", str(src), *extra]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert size > 5_000_000
+        assert peaks[1] - peaks[0] < size // 20
 
 
 class TestBoundsCommands:

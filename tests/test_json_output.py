@@ -1,9 +1,11 @@
 """Indented JSON output: the shared writer's text is ``json.dumps(obj,
 indent=2)``, byte for byte, for the library's JSON forms and for any JSON
-value."""
+value, and so is the text the streamed decomposition writer of
+``pathwidth --out`` writes."""
 
 from __future__ import annotations
 
+import io
 import json
 from enum import IntEnum
 
@@ -13,12 +15,23 @@ from hypothesis import strategies as st
 
 from layerlens.cli import _report_json, analyze_drawing
 from layerlens.core import Drawing, _json_chunks, drawing_to_json
-from layerlens.decomposition import build_path_decomposition, decomposition_to_json
+from layerlens.decomposition import (
+    PathDecomposition,
+    _write_decomposition_json,
+    build_path_decomposition,
+    decomposition_to_json,
+)
 from layerlens.families import special_s
 
 
 def _text(obj: object) -> str:
     return "".join(_json_chunks(obj))
+
+
+def _written(pd: PathDecomposition) -> str:
+    f = io.StringIO()
+    _write_decomposition_json(pd, f)
+    return f.getvalue()
 
 
 @st.composite
@@ -34,9 +47,45 @@ def drawings(draw):
 @example(Drawing(4, 5, frozenset({(2, 3)})))  # singleton bags of isolated vertices
 @example(special_s())  # a cubic bound of None, Fraction strings
 def test_library_json_forms(d):
-    forms = (drawing_to_json(d), decomposition_to_json(build_path_decomposition(d)), _report_json(analyze_drawing(d)))
+    pd = build_path_decomposition(d)
+    forms = (drawing_to_json(d), decomposition_to_json(pd), _report_json(analyze_drawing(d)))
     for obj in forms:
         assert _text(obj) == json.dumps(obj, indent=2)
+    # the streamed writer of pathwidth --out
+    assert _written(pd) == json.dumps(forms[1], indent=2)
+
+
+def _bag(*verts) -> frozenset:
+    return frozenset(verts)
+
+
+def _label(vert: object) -> str:
+    return f"{vert[0]}{vert[1]}" if isinstance(vert, tuple) else repr(vert)
+
+
+@pytest.mark.parametrize(
+    "bags",
+    [
+        (),
+        (_bag(),),
+        (_bag(("u", 1)), _bag(), _bag(("v", 1))),
+        # a quote, a backslash, non-ASCII text and control characters
+        (_bag(('u"', 1), ("v", 2)), _bag(("v\\", 2), ("v", 2)), _bag(("h\u00e9", 1), ("\u2603", 2), ("\U0001f600", 3))),
+        (_bag(("u\x01", 1), ("tab\t", 2), ("\x7f", 3)),),
+        # "u1" sorts before "u1!", but '"u1!"' before '"u1"'
+        (_bag(("u", 1), ("u1", "!")), _bag(("u1", "!")), _bag(("u1", "!"), ("u", 1), ("u1", '"'))),
+        # ("u", 11) and ("u1", 1) share the label "u11"
+        (_bag(("u", 11), ("u1", 1)), _bag(("u1", 1)), _bag(("u", 11), ("u1", 1), ("v", 0)), _bag(("u", 11))),
+        # entries that are not pairs are labelled with their repr
+        (_bag("x", ("u", 1)), _bag(7, ("w", 3), "x"), _bag()),
+    ],
+    ids=["none", "empty-bag", "empty-between", "escapes", "control", "quoted-order", "shared-label", "foreign"],
+)
+def test_decomposition_writer_given_bags(bags):
+    pd = PathDecomposition(bags)
+    data = decomposition_to_json(pd)
+    assert data["bags"] == [sorted(map(_label, b)) for b in bags]
+    assert _written(pd) == json.dumps(data, indent=2)
 
 
 _scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
@@ -91,7 +140,7 @@ class _Named(int):
         "plain",
         7,
         None,
-        # the str and int join paths, and the lists that must bypass them
+        # the int join path, and the lists of strs and other scalars the encoder writes
         ["u1", "v12", "u3"],
         ("a", "b"),
         {"bags": [["u1", "v2"], ["v2"]], "edges": [[1, 2], [3, 4]]},

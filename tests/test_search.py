@@ -695,6 +695,9 @@ class TestRandomDrawing:
             random_drawing(value, 3, 1, 1)
         with pytest.raises(ValueError):
             random_drawing(3, value, 1, 1)
+        # None would seed from the OS; True and 2.0 would act as 1 and 2
+        with pytest.raises(ValueError):
+            random_drawing(3, 3, 1, value)
 
 
 class TestBipartiteGraph:
