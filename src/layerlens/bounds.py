@@ -276,4 +276,6 @@ def load_table(path: str) -> CoefficientTable:
             data = json.load(f)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise ValueError(f"{path}: not valid JSON (nested too deeply)") from exc
     return table_from_json(data)

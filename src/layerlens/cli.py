@@ -12,6 +12,7 @@ master seeds of the reproduction suite) is explicit, never ambient.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from collections.abc import Iterator
@@ -27,7 +28,6 @@ from . import reproduce as rep
 from .core import (
     Drawing,
     Edge,
-    _write_json,
     crossing_profile,
     drawing_to_json,
     load_drawing,
@@ -183,7 +183,9 @@ def _write_or_print(text: str, out: TextIO | None) -> None:
 def _dump_json(obj: object, out: TextIO | None) -> None:
     """Indented JSON to the open file ``out``, without a final newline, or
     to stdout with one when ``out`` is None."""
-    _write_json(obj, out or sys.stdout, "" if out else "\n")
+    json.dump(obj, out or sys.stdout, indent=2)
+    if not out:
+        sys.stdout.write("\n")
 
 
 def _threads(args: argparse.Namespace) -> int:

@@ -15,11 +15,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
-from typing import TextIO
 
 Edge = tuple[int, int]
 
@@ -227,9 +224,12 @@ def crossing_profile(d: Drawing) -> CrossingProfile:
 
 
 def is_k_planar(d: Drawing, k: int) -> bool:
-    """True iff every edge of the drawing is crossed at most k times."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    """True iff every edge of the drawing is crossed at most k times.
+
+    Raises ValueError unless k is a non-negative int, as ``KPlanar`` does:
+    a bool, a float or None is not a k."""
+    if not _is_int(k) or k < 0:
+        raise ValueError(f"k must be a non-negative integer, got {k!r}")
     if d.m == 0:
         return True
     return crossing_profile(d).max_per_edge <= k
@@ -258,9 +258,12 @@ def mutually_crossing_number(d: Drawing) -> int:
 
 
 def is_h_quasiplanar(d: Drawing, h: int) -> bool:
-    """True iff no h edges of the drawing pairwise cross."""
-    if h < 2:
-        raise ValueError("h must be at least 2")
+    """True iff no h edges of the drawing pairwise cross.
+
+    Raises ValueError unless h is an int of at least 2, as
+    ``Quasiplanar`` does: a bool, a float or None is not an h."""
+    if not _is_int(h) or h < 2:
+        raise ValueError(f"h must be an integer of at least 2, got {h!r}")
     return mutually_crossing_number(d) < h
 
 
@@ -372,90 +375,12 @@ def load_drawing(path: str) -> Drawing:
             data = json.load(f)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise ValueError(f"{path}: not valid JSON (nested too deeply)") from exc
     return drawing_from_json(data)
 
 
 def save_drawing(d: Drawing, path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        _write_json(drawing_to_json(d), f, "\n")
-
-
-# ---------------------------------------------------------------------------
-# Indented JSON output, byte for byte json.dumps(obj, indent=2)
-# ---------------------------------------------------------------------------
-
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-_INT = frozenset((int,))
-
-
-@cache
-def _layout(level: int) -> tuple[Callable[[object], str], str, str]:
-    """For a value ``level`` deep: the ``encode`` of a C-accelerated
-    encoder whose item separator is the comma, newline and indentation of
-    the value's items, the newline and indentation of its items, and the
-    newline and indentation its closing bracket follows."""
-    inner = "\n" + "  " * (level + 1)
-    return json.JSONEncoder(separators=("," + inner, ": ")).encode, inner, inner[:-2]
-
-
-def _json_leaf(obj: object, level: int) -> str | None:
-    """The text of ``obj`` ``level`` deep as one chunk when it is a
-    scalar, an empty container or a list whose items all have a scalar
-    type (exactly str, int, float, bool or None); None otherwise.
-
-    A list of exact ints is joined in Python, which costs less than a call
-    to the encoder, as their ``str`` is json's text.  Bools and other int
-    subclasses are not exact ints, so they go to the encoder with every
-    other list of scalars.
-    """
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        encode, inner, outer = _layout(level)
-        if _INT.issuperset(map(type, obj)):
-            return "[" + inner + ("," + inner).join(map(str, obj)) + outer + "]"
-        if not _SCALARS.issuperset(map(type, obj)):
-            return None
-        return f"[{inner}{encode(obj)[1:-1]}{outer}]"
-    if isinstance(obj, dict):
-        return None if obj else "{}"
-    return _layout(level)[0](obj)
-
-
-def _json_chunks(obj: object, level: int = 0) -> Iterator[str]:
-    """The text of ``json.dumps(obj, indent=2)``, in chunks.
-
-    With an indent, json encodes in pure Python, a few generator steps per
-    value.  Here every list of scalars is one chunk, a join or one call to
-    the C encoder, whose item separator carries the indentation, and only
-    the containers around such lists are walked in Python.  Non-str dict
-    keys are converted as json converts them.
-    """
-    text = _json_leaf(obj, level)
-    if text is not None:
-        yield text
-        return
-    encode, inner, outer = _layout(level)
-    if isinstance(obj, dict):
-        items = ((encode(key if isinstance(key, str) else encode(key)) + ": ", value) for key, value in obj.items())
-        close = "}"
-        sep = "{" + inner
-    else:
-        items = (("", item) for item in obj)
-        close = "]"
-        sep = "[" + inner
-    for prefix, value in items:
-        text = _json_leaf(value, level + 1)
-        if text is None:
-            yield sep + prefix
-            yield from _json_chunks(value, level + 1)
-        else:
-            yield sep + prefix + text
-        sep = "," + inner
-    yield outer + close
-
-
-def _write_json(obj: object, f: TextIO, end: str) -> None:
-    """Write ``json.dumps(obj, indent=2) + end`` to the text stream ``f``."""
-    f.writelines(_json_chunks(obj))
-    f.write(end)
+        json.dump(drawing_to_json(d), f, indent=2)
+        f.write("\n")

@@ -44,6 +44,7 @@ of the output, and no frozenset is made per bag unless ``bags`` is read.
 
 from __future__ import annotations
 
+import json
 import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Collection, Iterable, Iterator
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import TextIO
 
-from .core import Drawing, Edge, _layout
+from .core import Drawing, Edge
 
 Vertex = tuple[str, int]  # ("u", i) or ("v", x)
 
@@ -376,19 +377,18 @@ def _sorted_labels(pd: PathDecomposition) -> Iterator[tuple[list[str], list[str]
     and, index for index, the JSON text of each label; the same two lists,
     updated in place between bags.
 
-    Each vertex is labelled and encoded once, by the encoder the shared
-    JSON writer uses, however many bags hold it.  At each transition the
-    leaving labels are deleted at ``bisect_left`` and the entering ones
-    inserted at ``bisect_right``, in both lists at the same index, so the
-    lists stay sorted by the label, not by its quoted text.  Between
-    consecutive bags of a sweep at most two vertices leave and two enter,
-    so the cost is O(bag size) list shifting per bag rather than a sort.
+    Each vertex is labelled and encoded once, by ``json.dumps``, however
+    many bags hold it.  At each transition the leaving labels are deleted
+    at ``bisect_left`` and the entering ones inserted at ``bisect_right``,
+    in both lists at the same index, so the lists stay sorted by the
+    label, not by its quoted text.  Between consecutive bags of a sweep at
+    most two vertices leave and two enter, so the cost is O(bag size)
+    list shifting per bag rather than a sort.
     Two vertices may share a label, such as "u11" of ("u", 11) and
     ("u1", 1); their texts are equal too, so deleting either gives the
     same lists.  An entry that is not a (layer, index) pair, which the
     validator reports under P.1, is labelled with its repr, as in the
     validator's messages."""
-    encode = _layout(0)[0]
     names: dict[Vertex, tuple[str, str]] = {}
     labels: list[str] = []
     texts: list[str] = []
@@ -400,7 +400,7 @@ def _sorted_labels(pd: PathDecomposition) -> Iterator[tuple[list[str], list[str]
             name = names.get(vert)
             if name is None:
                 label = _name(vert)
-                name = names[vert] = (label, encode(label))
+                name = names[vert] = (label, json.dumps(label))
             at = bisect_right(labels, name[0])
             labels.insert(at, name[0])
             texts.insert(at, name[1])

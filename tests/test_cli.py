@@ -494,6 +494,21 @@ class TestExport:
         assert out.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "{}"], ["pathwidth", "{}"], ["bounds", "--k", "3", "--table", "{}"]],
+    ids=["analyze", "pathwidth", "bounds-table"],
+)
+def test_deeply_nested_input_is_data_error(capsys, tmp_path, argv):
+    # json.load raises RecursionError, not JSONDecodeError, on deep nesting
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main([arg.format(deep) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {deep}: not valid JSON (nested too deeply)\n"
+
+
 def test_save_drawing_json_bytes(tmp_path):
     # unlike the CLI's output files, a saved drawing ends with a newline
     for d in (special_s(), Drawing(2, 3)):

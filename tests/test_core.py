@@ -27,9 +27,9 @@ from layerlens.core import (
     is_k_planar,
     mutually_crossing_number,
 )
-from layerlens.families import opt2planar, planar4_family, planar6_family
+from layerlens.families import opt2planar, planar4_family, planar6_family, special_s
 from layerlens.oracles import brute_force_mutually_crossing, brute_force_profile
-from layerlens.search import random_drawing
+from layerlens.search import KPlanar, Quasiplanar, random_drawing
 
 
 def complete_grid(p: int, q: int) -> Drawing:
@@ -441,6 +441,17 @@ class TestPlanarityPredicates:
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
             is_k_planar(K33, -1)
+
+    @pytest.mark.parametrize("bad", [True, False, 3.5, 2.0, None, "3"])
+    def test_parameters_checked_as_the_constraints_check_them(self, bad):
+        # each predicate raises what its constraint class raises, for the
+        # special S drawing and an empty one alike
+        for d in (special_s(), Drawing(1, 1)):
+            for predicate, constraint in ((is_k_planar, KPlanar), (is_h_quasiplanar, Quasiplanar)):
+                with pytest.raises(ValueError) as expected:
+                    constraint(bad)
+                with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+                    predicate(d, bad)
 
     def test_k33_mutually_crossing(self):
         assert mutually_crossing_number(K33) == 3

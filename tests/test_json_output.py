@@ -1,20 +1,23 @@
-"""Indented JSON output: the shared writer's text is ``json.dumps(obj,
-indent=2)``, byte for byte, for the library's JSON forms and for any JSON
-value, and so is the text the streamed decomposition writer of
-``pathwidth --out`` writes."""
+"""Indented JSON output: the CLI's ``_dump_json`` and ``save_drawing``
+write the text of ``json.dumps(obj, indent=2)``, byte for byte, for the
+library's JSON forms and for hand-made values, and so does the streamed
+decomposition writer of ``pathwidth --out``."""
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stdout
 from enum import IntEnum
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from layerlens.cli import _report_json, analyze_drawing
-from layerlens.core import Drawing, _json_chunks, drawing_to_json
+from layerlens.cli import _dump_json, _report_json, analyze_drawing
+from layerlens.core import Drawing, drawing_to_json, save_drawing
 from layerlens.decomposition import (
     PathDecomposition,
     _write_decomposition_json,
@@ -25,7 +28,23 @@ from layerlens.families import special_s
 
 
 def _text(obj: object) -> str:
-    return "".join(_json_chunks(obj))
+    """What ``_dump_json`` writes for obj to a file, after checking that it
+    writes the same text and a newline to stdout."""
+    f = io.StringIO()
+    _dump_json(obj, f)
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        _dump_json(obj, None)
+    assert stdout.getvalue() == f.getvalue() + "\n"
+    return f.getvalue()
+
+
+def _saved(d: Drawing) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.json")
+        save_drawing(d, path)
+        with open(path, "rb") as f:
+            return f.read()
 
 
 def _written(pd: PathDecomposition) -> str:
@@ -51,6 +70,7 @@ def test_library_json_forms(d):
     forms = (drawing_to_json(d), decomposition_to_json(pd), _report_json(analyze_drawing(d)))
     for obj in forms:
         assert _text(obj) == json.dumps(obj, indent=2)
+    assert _saved(d) == (json.dumps(forms[0], indent=2) + "\n").encode()
     # the streamed writer of pathwidth --out
     assert _written(pd) == json.dumps(forms[1], indent=2)
 
@@ -86,20 +106,6 @@ def test_decomposition_writer_given_bags(bags):
     data = decomposition_to_json(pd)
     assert data["bags"] == [sorted(map(_label, b)) for b in bags]
     assert _written(pd) == json.dumps(data, indent=2)
-
-
-_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-_keys = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
-_values = st.recursive(
-    _scalars,
-    lambda kids: st.lists(kids) | st.tuples(kids, kids) | st.dictionaries(_keys, kids),
-    max_leaves=40,
-)
-
-
-@given(_values)
-def test_any_json_value(obj):
-    assert _text(obj) == json.dumps(obj, indent=2)
 
 
 class _Label(str):
@@ -140,7 +146,7 @@ class _Named(int):
         "plain",
         7,
         None,
-        # the int join path, and the lists of strs and other scalars the encoder writes
+        # lists of strs, of ints and of mixed scalars, and str and int subclasses
         ["u1", "v12", "u3"],
         ("a", "b"),
         {"bags": [["u1", "v2"], ["v2"]], "edges": [[1, 2], [3, 4]]},
