@@ -14,6 +14,7 @@ edges.
 from __future__ import annotations
 
 import json
+import reprlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
@@ -72,7 +73,8 @@ class Drawing:
     Construction first runs one pass of exact type and range tests over
     all edges (``_pairs_in_grid``).  Only when that pass does not accept
     them does a per-edge loop run: it accepts int subclasses other than
-    bool and raises on the first bad edge in input order.  The
+    bool and raises on the first bad edge in input order, shown by
+    ``reprlib.repr``, so the message stays short whatever the edge.  The
     lexicographic edge order is computed on the first call of
     :meth:`sorted_edges` and kept on the instance; it is not a field, so
     equality, hashing, ``repr`` and pickling ignore it.
@@ -85,7 +87,7 @@ class Drawing:
     def __post_init__(self) -> None:
         p, q = self.p, self.q
         if not (_is_int(p) and _is_int(q)):
-            raise ValueError(f"layer sizes must be integers, got p={p!r}, q={q!r}")
+            raise ValueError(f"layer sizes must be integers, got p={reprlib.repr(p)}, q={reprlib.repr(q)}")
         if p < 1 or q < 1:
             raise ValueError(f"layer sizes must be positive, got p={p}, q={q}")
         edges = self.edges
@@ -94,10 +96,10 @@ class Drawing:
         if not _pairs_in_grid(edges, p, q):
             for e in edges:
                 if len(e) != 2 or not (_is_int(e[0]) and _is_int(e[1])):
-                    raise ValueError(f"edge {e!r} is not a pair of integers")
+                    raise ValueError(f"edge {reprlib.repr(e)} is not a pair of integers")
                 i, x = e
                 if not (1 <= i <= p and 1 <= x <= q):
-                    raise ValueError(f"edge {e} lies outside the {p}x{q} grid")
+                    raise ValueError(f"edge {reprlib.repr(e)} lies outside the {p}x{q} grid")
         if not isinstance(self.edges, frozenset):
             frozen = frozenset(edges)
             if len(frozen) != len(edges):
@@ -338,10 +340,11 @@ def drawing_to_json(d: Drawing) -> dict:
 
 
 def _check_pairs(edges: list) -> None:
-    """Raise on the first edge that is not a list or tuple of length 2."""
+    """Raise on the first edge that is not a list or tuple of length 2,
+    shown by ``reprlib.repr``."""
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise ValueError(f"edge {e!r} is not an [i, x] pair")
+            raise ValueError(f"edge {reprlib.repr(e)} is not an [i, x] pair")
 
 
 def drawing_from_json(data: dict) -> Drawing:

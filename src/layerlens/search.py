@@ -16,9 +16,14 @@ grid cells in lexicographic (row, column) order:
   it,
 * symmetry reduction: only splits with p <= q (layer swap), plus a
   partial canonicalization under 180 degree rotation of the grid,
-* an admissible bound: the current edge count plus the smaller of the
-  number of future cells that are still individually addable and the
-  exact optimum of the future cells taken on their own.  The latter is a
+* an admissible bound: the current edge count plus the smaller of a
+  residual-budget count of the future cells that are still addable and
+  the exact optimum of the future cells taken on their own.  The first
+  is the number of addable cells, less, for the rightmost chosen cell e
+  of each row, how far the addable cells crossing e outnumber the k - c_e
+  crossings e has left, c_e chosen cells crossing it already: a
+  completion adds at most k - c_e of them.  Each chosen cell gives such
+  a bound, so the least over any set of them is one too.  The second is a
   Russian-doll bound (Verfaillie, Lemaitre and Schiex, AAAI 1996): the
   constraint is hereditary, so whatever a completion adds is itself an
   allowed drawing on those cells, and the suffix optima are found last
@@ -30,15 +35,17 @@ grid cells in lexicographic (row, column) order:
   split, the part of them spent on the suffix optima and the number of
   suffixes that needed a search,
 * one k-planar DFS kernel whose state is two integers: a blocked-cell
-  bitmask marking the cells that can no longer be added, so the bound is
-  one popcount, and bit-sliced masks, "crossed by at least j chosen
+  bitmask marking the cells that can no longer be added, so the addable
+  count is one popcount, and bit-sliced masks, "crossed by at least j chosen
   cells", packed into one integer, plane j at bits jN..(j+1)N-1 for N
   cells, so one shift, AND and OR, written out in the kernel, advance
-  every crossing counter at once.  A node is counted when its parent
-  creates it, whether or not it is pruned; the parent bound-checks each
-  child before entering it, and the exclude child continues in its
-  parent's frame.  The tests keep a DFS that takes an include step as a
-  function, the reference route for the kernel and for the closed form.
+  every crossing counter at once; the residual budget costs two more
+  popcounts per row that holds a chosen cell.  A node is counted when
+  its parent creates it, whether or not it is pruned; the parent
+  bound-checks each child before entering it, and the exclude child
+  continues in its parent's frame.  The tests keep a DFS that takes an
+  include step as a function, the reference route for the kernel and
+  for the closed form.
 
 ``minimax_k`` minimizes the maximum per-edge crossing count of a
 drawing over all re-orderings of both of its layers, so the order the
@@ -194,24 +201,31 @@ def _search_split(p: int, q: int, k: int, start_best: int) -> tuple[int, list[Ed
     written out in the kernel, the parent bound-checks each child before
     entering it, and the exclude child continues in its parent's frame.
 
-    The bound at cell ``pos`` is ``m + min(cap[pos], addable)``, where
-    ``addable`` counts the later cells outside ``blocked`` and ``cap[pos]``
-    is the most cells of ``pos..N-1`` that are k-planar on their own (a
-    Russian-doll bound).  The constraint is hereditary, so the later cells
-    of any completion form an allowed drawing by themselves and number at
-    most ``cap[pos]``.  From the second row on, ``cap`` is exact: it is
-    settled last cell first, keeping ``wit``, the mask of an optimal
+    The bound at cell ``pos`` is ``m + min(cap[pos], room)``.  ``room``
+    bounds what a completion adds from ``free``, the later cells outside
+    ``blocked``.  With ``a_e`` cells of ``free`` crossing a chosen cell e
+    and ``c_e`` chosen cells crossing it, e takes at most k - c_e more
+    crossings, so a completion adds at most
+    ``len(free) - a_e + min(a_e, k - c_e)`` cells (the residual budget).
+    That holds for every chosen cell, so the least over any of them is
+    admissible; ``room`` is the least of ``len(free)`` and the bounds of
+    the rightmost chosen cell of each row, which is crossed by every later
+    cell that crosses a chosen cell left of it.  ``cap[pos]`` is the most cells of ``pos..N-1`` that are k-planar on
+    their own (a Russian-doll bound).  The constraint is hereditary, so the
+    later cells of any completion form an allowed drawing by themselves and
+    number at most ``cap[pos]``.  From the second row on, ``cap`` is exact:
+    it is settled last cell first, keeping ``wit``, the mask of an optimal
     drawing of the suffix ``pos + 1..N-1``.  One more cell adds at most one
-    edge, so ``cap[pos]`` is ``cap[pos + 1]`` or one more.  If every cell
-    of ``wit`` and ``pos`` crosses at most k of them, it is one more and
-    ``pos`` joins ``wit`` with no search; a cell of the first column
-    crosses no later cell, so it always joins.  Otherwise this same DFS
-    solves the suffix alone, without rotation canonicalization, from the
-    incumbent ``cap[pos + 1]``, and stops at the first leaf one above it,
-    whose cells become ``wit``; ``solves`` counts these searches.  On the
-    first row ``cap`` is ``cap[q] + (q - pos)``, because exact solves there
-    cost more nodes than they save.  An admissible bound never prunes the
-    first optimal leaf in DFS order, so the result does not depend on it.
+    edge, so ``cap[pos]`` is ``cap[pos + 1]`` or one more.  If every cell of
+    ``wit`` and ``pos`` crosses at most k of them, it is one more and
+    ``pos`` joins ``wit`` with no search; a cell of the first column crosses
+    no later cell, so it always joins.  Otherwise this same DFS solves the
+    suffix alone, without rotation canonicalization, from the incumbent
+    ``cap[pos + 1]``, and stops at the first leaf one above it, whose cells
+    become ``wit``; ``solves`` counts these searches.  On the first row
+    ``cap`` is ``cap[q] + (q - pos)``, because exact solves there cost more
+    nodes than they save.  An admissible bound never prunes the first
+    optimal leaf in DFS order, so the result does not depend on it.
 
     Rotation canonicalization: the 180 degree rotation maps cell t to cell
     N-1-t and preserves crossings, hence the constraint, so each drawing and
@@ -230,9 +244,27 @@ def _search_split(p: int, q: int, k: int, start_best: int) -> tuple[int, list[Ed
     cross_rep = [cm * rep for cm in cross]
     kn = k * n_cells
     top = kn + n_cells
+    # at k = 0 a chosen cell blocks every cell crossing it, so room is the
+    # addable count and needs no row
+    rows = [((1 << q) - 1) << r * q for r in range(p)] if k else []
     nodes = 0
     best_chosen: int | None = None
     cap = [0] * (n_cells + 1)
+
+    def room(chosen: int, free: int) -> int:
+        """At most how many cells of ``free`` a completion of ``chosen``
+        adds: all of them, less, for the rightmost chosen cell e of each
+        row, its crossers in ``free`` beyond the k - c_e crossings e has
+        left, c_e being the chosen cells crossing e."""
+        excess = 0
+        for row in rows:
+            last = chosen & row
+            if last:
+                cm = cross[last.bit_length() - 1]
+                over = (free & cm).bit_count() + (chosen & cm).bit_count() - k
+                if over > excess:
+                    excess = over
+        return free.bit_count() - excess
 
     def dfs(pos: int, m: int, chosen: int, blocked: int, packed: int, eq: bool) -> None:
         """The subtree of a node already counted and bound-checked; the
@@ -249,9 +281,10 @@ def _search_split(p: int, q: int, k: int, start_best: int) -> tuple[int, list[Ed
                     eq_inc = False
 
             if not blocked >> pos & 1:
-                # the include child; its cap test m + 1 + cap[pos + 1] > best
-                # cannot fail, as this node passed m + cap[pos] > best with no
-                # leaf found since, and cap[pos] <= cap[pos + 1] + 1
+                # the include child, tested by room alone: room can prune
+                # it, but the cap test m + 1 + cap[pos + 1] > best cannot,
+                # as this node passed m + cap[pos] > best with no leaf found
+                # since, and cap[pos] <= cap[pos + 1] + 1
                 nodes += 1
                 grown = packed | ((packed << n_cells) & cross_rep[pos])
                 # chosen cells that have just reached k crossings; pos needs
@@ -264,13 +297,13 @@ def _search_split(p: int, q: int, k: int, start_best: int) -> tuple[int, list[Ed
                     low = full & -full
                     grown_blocked |= cross[low.bit_length() - 1]
                     full ^= low
-                if m + (future[pos + 1] & ~grown_blocked).bit_count() >= best:
+                if m + room(chosen | 1 << pos, future[pos + 1] & ~grown_blocked) >= best:
                     dfs(pos + 1, m + 1, chosen | 1 << pos, grown_blocked, grown, eq_inc)
             if force_include or not cross[pos]:
                 return
             nodes += 1
             pos += 1
-            if m + cap[pos] <= best or m + (future[pos] & ~blocked).bit_count() <= best:
+            if m + cap[pos] <= best or m + room(chosen, future[pos] & ~blocked) <= best:
                 return
         best = m
         best_chosen = chosen

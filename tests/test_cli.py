@@ -8,6 +8,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -507,6 +509,31 @@ def test_deeply_nested_input_is_data_error(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"invalid input: {deep}: not valid JSON (nested too deeply)\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"p": 2, "q": 2, "edges": [[' + ", ".join(["1"] * 200_000) + "]]}",
+        '{"p": 2, "q": 2, "edges": [' + "[" * 980 + "1" + "]" * 980 + "]}",
+        '{"p": [' + ", ".join(["1"] * 200_000) + '], "q": 2, "edges": []}',
+    ],
+    ids=["long-edge", "deep-edge", "long-p"],
+)
+@pytest.mark.parametrize("command", ["analyze", "pathwidth"])
+def test_invalid_input_message_is_bounded(tmp_path, text, command):
+    # the bad value is shown by reprlib.repr, not in full: a 200,000-int
+    # edge once gave a 600,043-byte line.  A child process, as under pytest
+    # the stack is too deep for json.load to read the 980-deep edge.
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "layerlens.cli", command, str(path)], capture_output=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"invalid input: ") and proc.stderr.count(b"\n") == 1
+    assert b"pair" in proc.stderr or b"layer sizes" in proc.stderr
+    assert len(proc.stderr) < 200
 
 
 def test_save_drawing_json_bytes(tmp_path):

@@ -6,6 +6,7 @@ import dataclasses
 import pickle
 import random
 import re
+import reprlib
 import tracemalloc
 from enum import IntEnum
 
@@ -129,10 +130,10 @@ def reference_edges(p: int, q: int, edges) -> frozenset:
 
     for e in edges:
         if len(e) != 2 or not (is_int(e[0]) and is_int(e[1])):
-            raise ValueError(f"edge {e!r} is not a pair of integers")
+            raise ValueError(f"edge {reprlib.repr(e)} is not a pair of integers")
         i, x = e
         if not (1 <= i <= p and 1 <= x <= q):
-            raise ValueError(f"edge {e} lies outside the {p}x{q} grid")
+            raise ValueError(f"edge {reprlib.repr(e)} lies outside the {p}x{q} grid")
     frozen = frozenset(edges)
     if len(frozen) != len(edges):
         raise ValueError("duplicate edges are not allowed")
@@ -220,7 +221,7 @@ def reference_from_json(data) -> Drawing:
         raise ValueError("edges must be a list of [i, x] pairs")
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise ValueError(f"edge {e!r} is not an [i, x] pair")
+            raise ValueError(f"edge {reprlib.repr(e)} is not an [i, x] pair")
     return Drawing(data["p"], data["q"], edges)
 
 

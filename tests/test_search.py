@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import hashlib
+import random
 import tracemalloc
 from functools import cache, partial
 from itertools import combinations
@@ -191,11 +192,11 @@ class TestMaxDensity:
         # both from the best of p <= 3
         seq = _max_density(11, KPlanar(8))
         par = _max_density(11, KPlanar(8), threads=2)
-        assert par.stats.nodes == 83_015
+        assert par.stats.nodes == 833
         assert (par.best_m, par.witness) == (seq.best_m, seq.witness)
         # the main DFS of each split, as when every suffix was solved in
         # full; p = 5 starts from a lower incumbent than in sequence
-        assert [s.nodes - s.bound_nodes for s in par.stats.splits] == [11, 27, 2488, 16_096, 57_181]
+        assert [s.nodes - s.bound_nodes for s in par.stats.splits] == [11, 27, 171, 216, 295]
 
     # Optimum, witness cells ("ix" = top i, bottom x) and the node count of
     # the search tree before the suffix bound, each measured exactly with
@@ -246,29 +247,32 @@ class TestMaxDensity:
     # transposed grid, one row per vertex of the larger layer.
     NODE_COUNTS = [
         (6, KPlanar(0), 37, 8, (6, 14, 9)),
-        (6, KPlanar(2), 45, 0, (6, 15, 24)),
+        (6, KPlanar(2), 34, 0, (6, 15, 13)),
         (6, KPlanar(5), 32, 0, (6, 12, 14)),
         (6, Quasiplanar(2), 33, 14, (6, 4, 9)),
         (6, Quasiplanar(3), 28, 0, (6, 12, 10)),
         (6, Quasiplanar(4), 32, 0, (6, 12, 14)),
         (8, KPlanar(0), 191, 65, (8, 40, 51, 27)),
-        (8, KPlanar(2), 248, 81, (8, 61, 65, 33)),
-        (8, KPlanar(5), 207, 15, (8, 18, 89, 77)),
+        (8, KPlanar(2), 142, 32, (8, 45, 45, 12)),
+        (8, KPlanar(5), 84, 3, (8, 18, 31, 24)),
         (8, Quasiplanar(2), 125, 77, (8, 4, 9, 27)),
         (8, Quasiplanar(3), 137, 40, (8, 18, 10, 61)),
         (8, Quasiplanar(4), 67, 0, (8, 18, 23, 18)),
         (10, KPlanar(0), 1149, 412, (10, 108, 231, 216, 172)),
-        (10, KPlanar(2), 1853, 690, (10, 211, 207, 329, 406)),
-        (10, KPlanar(5), 9333, 2240, (10, 66, 1234, 3861, 1922)),
+        (10, KPlanar(2), 658, 222, (10, 121, 106, 117, 82)),
+        (10, KPlanar(5), 613, 165, (10, 56, 132, 199, 51)),
         (10, Quasiplanar(2), 589, 357, (10, 4, 9, 37, 172)),
         (10, Quasiplanar(3), 2216, 725, (10, 24, 10, 207, 1240)),
         (10, Quasiplanar(4), 889, 140, (10, 24, 32, 36, 647)),
-        (11, KPlanar(8), 56_637, 7_212, (11, 27, 2488, 16_096, 30_803)),
+        (11, KPlanar(8), 786, 113, (11, 27, 171, 216, 248)),
         (11, Quasiplanar(3), 5843, 2524, (11, 27, 10, 336, 2935)),
-        (12, KPlanar(2), 14_117, 2_354, (12, 645, 818, 1384, 3788, 5116)),
-        (12, KPlanar(5), 92_000, 30_496, (12, 505, 4544, 18_690, 22_054, 15_699)),
+        (12, KPlanar(2), 3827, 619, (12, 314, 283, 517, 862, 1220)),
+        (12, KPlanar(5), 2008, 390, (12, 235, 276, 653, 230, 212)),
         (12, Quasiplanar(4), 58_775, 10_610, (12, 30, 41, 50, 6774, 41_258)),
-        (13, KPlanar(5), 358_917, 88_112, (13, 1205, 4333, 61_102, 98_269, 105_883)),
+        (13, KPlanar(5), 5108, 724, (13, 427, 406, 1120, 1025, 1393)),
+        (13, KPlanar(8), 3991, 892, (13, 107, 493, 1364, 657, 465)),
+        (14, KPlanar(5), 24_863, 4535, (14, 708, 436, 2121, 3464, 9088, 4497)),
+        (14, KPlanar(8), 14_516, 2745, (14, 325, 588, 2596, 969, 3885, 3394)),
     ]
 
     @pytest.mark.parametrize(
@@ -278,6 +282,55 @@ class TestMaxDensity:
         stats = _searched(n, constraint).stats
         assert (stats.nodes, sum(s.bound_nodes for s in stats.splits)) == (nodes, bound_nodes)
         assert tuple(s.nodes - s.bound_nodes for s in stats.splits) == main_nodes
+
+    # Optimum, witness split p and witness cells ("i:a-b,c" = top i with
+    # bottoms a..b and c) at the top of the range and past the largest k of
+    # the tables above, measured with the addable count and the suffix bound
+    # only.  Every bound the search adds must be admissible, so these stay,
+    # with threads=2 too.
+    TOP_OF_RANGE = [
+        (14, 0, 13, 1, "1:1-13"),
+        (14, 1, 19, 7, "1:1-2 2:1-3 3:2-4 4:3-5 5:4-6 6:5-7 7:6-7"),
+        (14, 2, 21, 5, "1:1-3 2:1-5 3:3-7 4:5-9 5:7-9"),
+        (14, 3, 24, 7, "1:1-3 2:1-4 3:2-5 4:3-6 5:4-7 6:5-7 7:6-7"),
+        (14, 4, 25, 7, "1:1-3 2:1-3 3:1-5 4:3-5 5:3-7 6:5-7 7:5-7"),
+        (14, 5, 27, 7, "1:1-3 2:1-4 3:1-5 4:3-5 5:3-7 6:4-7 7:5-7"),
+        (14, 6, 29, 7, "1:1-3 2:1-4 3:1-5 4:2-6 5:3-7 6:4-7 7:5-7"),
+        (14, 7, 30, 6, "1:1-4 2:1-5 3:1-6 4:3-8 5:4-8 6:5-8"),
+        (14, 8, 30, 6, "1:1-4 2:1-5 3:1-6 4:3-8 5:4-8 6:5-8"),
+        (14, 9, 32, 7, "1:1-4 2:1-5 3:1-6 4:2-7 5:4-7 6:4-7 7:5-7"),
+        (13, 9, 29, 6, "1:1-4 2:1-5 3:1-3,5-6 4:2-7 5:3-7 6:4-7"),
+        (13, 10, 30, 6, "1:1-4 2:1-5 3:1-6 4:2-7 5:3-7 6:4-7"),
+        (13, 11, 30, 5, "1:1-5 2:1-6 3:1-8 4:3-8 5:4-8"),
+        (13, 12, 31, 6, "1:1-4 2:1-5 3:1-6 4:1-7 5:3-7 6:4-7"),
+        (13, 13, 32, 6, "1:1-5 2:1-6 3:1-2,5-7 4:1-7 5:3-7 6:4-7"),
+    ]
+
+    @pytest.mark.parametrize("n,k,best_m,p,cells", TOP_OF_RANGE, ids=[f"{n}-k{k}" for n, k, *_ in TOP_OF_RANGE])
+    def test_top_of_range(self, n, k, best_m, p, cells):
+        edges = set()
+        for row in cells.split():
+            i, runs = row.split(":")
+            for run in runs.split(","):
+                lo, _, hi = run.partition("-")
+                edges.update((int(i), x) for x in range(int(lo), int(hi or lo) + 1))
+        want = (best_m, Drawing(p, n - p, frozenset(edges)))
+        seq = _max_density(n, KPlanar(k))
+        par = max_density(n, KPlanar(k), threads=2)
+        assert (seq.best_m, seq.witness) == (par.best_m, par.witness) == want
+
+    def test_top_of_range_bound_tables(self):
+        # sha256 of repr([[cap of the split p x (14 - p) for p = 1..7] for
+        # k = 0..9]), measured with the addable count and the suffix bound
+        # only; the suffix solves stop at the first leaf one above their
+        # incumbent, which an admissible bound never prunes.  An incumbent
+        # of p * q skips each split's main DFS.
+        caps = [
+            [_search_split(p, 14 - p, min(k, (p - 1) * (13 - p)), p * (14 - p))[3] for p in range(1, 8)]
+            for k in range(10)
+        ]
+        digest = "0243160c2225362292db532f6cbf9bbb182bf7b9c880e221c69d532345fb4e60"
+        assert hashlib.sha256(repr(caps).encode()).hexdigest() == digest
 
     def test_split_stats(self):
         r = _max_density(11, KPlanar(8))
@@ -387,11 +440,30 @@ def test_suffix_bound_table_beyond_twelve_cells(p, q, start):
         assert cap[start:] == optima[c], c
 
 
-def _reference_split(p: int, q: int, step, start_best: int):
+def _budget_bound(k: int, q: int, cross: list[int], chosen: int, free: int) -> int:
+    """The residual-budget bound of ``_search_split``, written plainly: the
+    most cells of ``free`` a k-planar completion of ``chosen`` can add,
+    the minimum of ``len(free) - a_e + min(a_e, k - c_e)`` over the
+    rightmost chosen cell e of each row of q cells, where a_e counts the
+    cells of ``free`` crossing e and c_e the chosen cells crossing it."""
+    addable = free.bit_count()
+    bound = addable
+    for start in range(0, len(cross), q):
+        row = [t for t in range(start, start + q) if chosen >> t & 1]
+        if row:
+            e = row[-1]
+            a_e = (free & cross[e]).bit_count()
+            c_e = (cross[e] & chosen).bit_count()
+            bound = min(bound, addable - a_e + min(a_e, k - c_e))
+    return bound
+
+
+def _reference_split(p: int, q: int, step, start_best: int, k: int | None = None):
     """The split search with the constraint given as an include step: the
     reference route for the kernel ``_search_split`` and, with
-    ``_quasiplanar_include``, for the quasiplanar closed form.  It returns
-    what the kernel does, and visits and counts the same nodes; see
+    ``_quasiplanar_include``, for the quasiplanar closed form.  Given k, it
+    also prunes by ``_budget_bound``, as the kernel does.  It returns what
+    the kernel does, and visits and counts the same nodes; see
     ``_search_split`` for the bound, the suffix table ``cap`` and the
     rotation canonicalization.
 
@@ -415,7 +487,10 @@ def _reference_split(p: int, q: int, step, start_best: int):
         nonlocal nodes, best, best_chosen
         nodes += 1
         blocked = state[0]
-        if m + cap[pos] <= best or m + (future[pos] & ~blocked).bit_count() <= best:
+        free = future[pos] & ~blocked
+        if m + cap[pos] <= best or m + free.bit_count() <= best:
+            return
+        if k is not None and m + _budget_bound(k, q, cross, chosen, free) <= best:
             return
         if pos == n_cells:
             best = m
@@ -522,12 +597,10 @@ def _tuple_kplanar_include(k: int, cross: list[int]):
 
 @st.composite
 def _kplanar_splits(draw):
-    """A p x q grid up to 6 x 5 or 5 x 6, a k up to one past the crossing
-    cap (p - 1)(q - 1), and an incumbent from 0 to the grid's size.  The
-    6 x 6 grid is left out: at k = 8 to 16 the reference visits 1.7M to
-    7.3M nodes."""
+    """A p x q grid up to 6 x 6, a k up to one past the crossing cap
+    (p - 1)(q - 1), and an incumbent from 0 to the grid's size."""
     p = draw(st.integers(1, 6))
-    q = draw(st.integers(1, 5 if p == 6 else 6))
+    q = draw(st.integers(1, 6))
     return p, q, draw(st.integers(0, (p - 1) * (q - 1) + 1)), draw(st.integers(0, p * q))
 
 
@@ -536,13 +609,51 @@ def _kplanar_splits(draw):
 def test_kernel_matches_the_reference_dfs(split):
     # best, cells, stats (nodes, bound nodes, solves) and the bound table
     p, q, k, start_best = split
-    assert _search_split(p, q, k, start_best) == _reference_split(p, q, partial(_tuple_kplanar_include, k), start_best)
+    assert _search_split(p, q, k, start_best) == _reference_split(p, q, partial(_tuple_kplanar_include, k), start_best, k)
 
 
 @pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 31) for q in range(1, 31) if p * q <= 30])
 def test_kernel_matches_the_reference_dfs_on_every_small_grid(p, q):
     for k in range(9):
-        assert _search_split(p, q, k, 0) == _reference_split(p, q, partial(_tuple_kplanar_include, k), 0), k
+        assert _search_split(p, q, k, 0) == _reference_split(p, q, partial(_tuple_kplanar_include, k), 0, k), k
+
+
+def _kplanar_cells(cross: list[int], mask: int, k: int) -> bool:
+    """Whether every cell of ``mask`` crosses at most k of its cells."""
+    return all((cross[t] & mask).bit_count() <= k for t in range(len(cross)) if mask >> t & 1)
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 13) for q in range(1, 13) if p * q <= 12])
+def test_budget_bound_is_admissible(p, q):
+    # random k-planar prefixes of the cells before pos, built as the DFS
+    # builds them; the bound must be at least the most undecided cells that
+    # a completion adds, found over every subset of the addable ones
+    cross = search._cross_masks(search._grid_cells(p, q))
+    n_cells = len(cross)
+    rng = random.Random(p * 100 + q)
+    pruned = 0
+    for k in range(min((p - 1) * (q - 1), 6) + 1):
+        for _ in range(100):
+            pos = rng.randint(0, n_cells)
+            chosen = 0
+            for t in range(pos):
+                if rng.random() < 0.6 and _kplanar_cells(cross, chosen | 1 << t, k):
+                    chosen |= 1 << t
+            free = 0
+            for t in range(pos, n_cells):
+                if _kplanar_cells(cross, chosen | 1 << t, k):
+                    free |= 1 << t
+            best = 0
+            sub = free
+            while sub:
+                if sub.bit_count() > best and _kplanar_cells(cross, chosen | sub, k):
+                    best = sub.bit_count()
+                sub = (sub - 1) & free
+            bound = _budget_bound(k, q, cross, chosen, free)
+            assert best <= bound <= free.bit_count(), (k, pos, chosen)
+            pruned += bound < free.bit_count()
+    if p > 1 and q > 1 and p * q > 4:
+        assert pruned  # the bound is tighter than the addable count somewhere
 
 
 @pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 13) for q in range(1, 13) if p * q <= 12])
