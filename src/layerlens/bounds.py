@@ -10,12 +10,12 @@ two layers; its alpha column sums to 125/12, which drives the constants
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .core import _read_json
 from .families import FAMILIES, band_offset
 
 __all__ = [
@@ -271,11 +271,4 @@ def table_from_json(data: dict) -> CoefficientTable:
 
 
 def load_table(path: str) -> CoefficientTable:
-    with open(path, encoding="utf-8") as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-        except RecursionError as exc:
-            raise ValueError(f"{path}: not valid JSON (nested too deeply)") from exc
-    return table_from_json(data)
+    return table_from_json(_read_json(path))

@@ -189,19 +189,10 @@ def _dump_json(obj: object, out: TextIO | None) -> None:
 
 
 def _threads(args: argparse.Namespace) -> int:
-    """``--threads`` when given, else ``LAYERLENS_THREADS``, else 1; either
-    source must hold a positive integer."""
-    if args.threads is not None:
-        source, value = "--threads", args.threads
-    else:
-        source, raw = "LAYERLENS_THREADS", os.environ.get("LAYERLENS_THREADS", "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise _UsageError(f"LAYERLENS_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise _UsageError(f"{source} must be positive, got {value}")
-    return value
+    """``--threads``, which must be positive and has no other effect."""
+    if args.threads < 1:
+        raise _UsageError(f"--threads must be positive, got {args.threads}")
+    return args.threads
 
 
 def _load_table(path: str | None) -> bnd.CoefficientTable:
@@ -268,7 +259,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.witness and args.csv and os.path.realpath(args.witness) == os.path.realpath(args.csv):
         raise _UsageError(f"--witness and --csv name the same file: {args.csv}")
     with _outputs(args.witness, args.csv) as (witness, csv):
-        result = max_density(args.n, constraint, threads=threads)
+        result = max_density(args.n, constraint)
         note = _formula_note(kind, param, args.n, result.best_m)
         print(f"n={args.n} {constraint.label}: best_m={result.best_m} ({note})")
         print(f"nodes={result.stats.nodes} millis={result.stats.millis:.1f} threads={threads}")
@@ -383,10 +374,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    threads = _threads(args)
+    _threads(args)
     elapsed: dict[str, float] = {}
     with _outputs(args.out) as (out,):
-        rows = rep.run_all(threads=threads, elapsed=elapsed)
+        rows = rep.run_all(elapsed=elapsed)
         csv_text = rep.rows_to_csv(rows)
         if args.json:
             _dump_json(rep.rows_to_json(rows, elapsed), None)
@@ -429,7 +420,7 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int, default=None, help="k-planarity cap")
     group.add_argument("--quasi", type=int, default=None, help="quasiplanarity parameter h")
-    p.add_argument("--threads", type=int, default=None, help="parallel split workers (default: LAYERLENS_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; must be positive, no effect")
     p.add_argument("--witness", default=None, help="write a witness drawing JSON here")
     p.add_argument("--csv", default=None, help="write an n,constraint,best_m,nodes,millis row here")
     p.set_defaults(func=_cmd_search)
@@ -463,7 +454,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("reproduce", help="run the full verification suite, emit pass/fail CSV")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; must be positive, no effect")
     p.add_argument("--out", default=None, help="also write the CSV here")
     p.add_argument("--json", action="store_true", help="print the rows and per-criterion timings as JSON")
     p.set_defaults(func=_cmd_reproduce)

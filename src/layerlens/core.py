@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import reprlib
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
@@ -46,6 +47,22 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+class _BoundedRepr(reprlib.Repr):
+    """``reprlib.repr`` that shows an int of more than 128 bits, which may
+    have more digits than the 40 it would show, by its size: converting a
+    huge int to decimal takes time quadratic in its digits, and raises past
+    ``sys.get_int_max_str_digits()``.  Smaller ints look as they do in
+    ``reprlib.repr``."""
+
+    def repr_int(self, x: int, level: int) -> str:
+        if x.bit_length() > 128:
+            return f"<{'negative ' if x < 0 else ''}{x.bit_length()}-bit int>"
+        return super().repr_int(x, level)
+
+
+_short = _BoundedRepr().repr
+
+
 def _pairs_in_grid(edges: list[tuple] | frozenset, p: int, q: int) -> bool:
     """True when every edge is an exact tuple of two exact ints inside the
     p x q grid.  False says only that some edge needs the per-edge check:
@@ -74,8 +91,8 @@ class Drawing:
     all edges (``_pairs_in_grid``).  Only when that pass does not accept
     them does a per-edge loop run: it accepts int subclasses other than
     bool and raises on the first bad edge in input order, shown by
-    ``reprlib.repr``, so the message stays short whatever the edge.  The
-    lexicographic edge order is computed on the first call of
+    ``_short``, so the message stays short whatever the edge or layer
+    size.  The lexicographic edge order is computed on the first call of
     :meth:`sorted_edges` and kept on the instance; it is not a field, so
     equality, hashing, ``repr`` and pickling ignore it.
     """
@@ -87,19 +104,19 @@ class Drawing:
     def __post_init__(self) -> None:
         p, q = self.p, self.q
         if not (_is_int(p) and _is_int(q)):
-            raise ValueError(f"layer sizes must be integers, got p={reprlib.repr(p)}, q={reprlib.repr(q)}")
+            raise ValueError(f"layer sizes must be integers, got p={_short(p)}, q={_short(q)}")
         if p < 1 or q < 1:
-            raise ValueError(f"layer sizes must be positive, got p={p}, q={q}")
+            raise ValueError(f"layer sizes must be positive, got p={_short(p)}, q={_short(q)}")
         edges = self.edges
         if not isinstance(edges, frozenset):
             edges = list(map(tuple, edges))
         if not _pairs_in_grid(edges, p, q):
             for e in edges:
                 if len(e) != 2 or not (_is_int(e[0]) and _is_int(e[1])):
-                    raise ValueError(f"edge {reprlib.repr(e)} is not a pair of integers")
+                    raise ValueError(f"edge {_short(e)} is not a pair of integers")
                 i, x = e
                 if not (1 <= i <= p and 1 <= x <= q):
-                    raise ValueError(f"edge {reprlib.repr(e)} lies outside the {p}x{q} grid")
+                    raise ValueError(f"edge {_short(e)} lies outside the {_short(p)}x{_short(q)} grid")
         if not isinstance(self.edges, frozenset):
             frozen = frozenset(edges)
             if len(frozen) != len(edges):
@@ -341,10 +358,10 @@ def drawing_to_json(d: Drawing) -> dict:
 
 def _check_pairs(edges: list) -> None:
     """Raise on the first edge that is not a list or tuple of length 2,
-    shown by ``reprlib.repr``."""
+    shown by ``_short``."""
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise ValueError(f"edge {reprlib.repr(e)} is not an [i, x] pair")
+            raise ValueError(f"edge {_short(e)} is not an [i, x] pair")
 
 
 def drawing_from_json(data: dict) -> Drawing:
@@ -372,15 +389,22 @@ def drawing_from_json(data: dict) -> Drawing:
     return Drawing(data["p"], data["q"], edges)
 
 
-def load_drawing(path: str) -> Drawing:
+def _read_json(path: str) -> object:
+    """The JSON value in the file at ``path``.  Every error of ``json.load``
+    becomes a ValueError whose one-line message starts with the path."""
     with open(path, encoding="utf-8") as f:
         try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
+            return json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
         except RecursionError as exc:
             raise ValueError(f"{path}: not valid JSON (nested too deeply)") from exc
-    return drawing_from_json(data)
+        except ValueError as exc:  # the only other one: an int too long to convert
+            raise ValueError(f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits") from exc
+
+
+def load_drawing(path: str) -> Drawing:
+    return drawing_from_json(_read_json(path))
 
 
 def save_drawing(d: Drawing, path: str) -> None:

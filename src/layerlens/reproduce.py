@@ -63,13 +63,13 @@ DENSITY_TABLE: tuple[tuple[str, int, int, int], ...] = (
 )
 
 
-def check_density_table(threads: int = 1) -> list[CheckRow]:
+def check_density_table() -> list[CheckRow]:
     """Criterion 1: the exact density table, witnesses re-verified."""
     rows = []
     t0 = time.perf_counter()
     for kind, param, n, want in DENSITY_TABLE:
         cons = KPlanar(param) if kind == "k" else Quasiplanar(param)
-        result = max_density(n, cons, threads=threads)
+        result = max_density(n, cons)
         w = result.witness
         if kind == "k":
             witness_ok = w.m == result.best_m and is_k_planar(w, param)
@@ -404,8 +404,8 @@ def check_oracle_equivalence() -> list[CheckRow]:
     ]
 
 
-def run_all(threads: int = 1, elapsed: dict[str, float] | None = None) -> list[CheckRow]:
-    """All criteria in order; every row independent of thread count.
+def run_all(elapsed: dict[str, float] | None = None) -> list[CheckRow]:
+    """All criteria in order.
 
     When ``elapsed`` is given, it receives the wall seconds of the shared
     family pass under "families" and of each criterion under "1" to "8".
@@ -415,7 +415,7 @@ def run_all(threads: int = 1, elapsed: dict[str, float] | None = None) -> list[C
     summaries = _family_summaries()
     times["families"] = time.perf_counter() - start
     steps = (
-        ("1", lambda: check_density_table(threads=threads)),
+        ("1", check_density_table),
         ("2", lambda: check_families(summaries)),
         ("3", check_minimax),
         ("4", check_constants),

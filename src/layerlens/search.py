@@ -62,9 +62,8 @@ from __future__ import annotations
 
 import random
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import permutations, product, repeat
+from itertools import permutations, product
 
 from .core import Drawing, Edge, _is_int
 
@@ -374,14 +373,10 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
     grid of ``_quasiplanar_optimum``, with ``nodes == 0`` and no
     ``splits``.  A k-planar one searches the splits with p <= q in
     increasing p, each on its p x q grid, one row per top vertex; the
-    running best is carried across splits as the incumbent.  With
-    threads > 1 all but the last min(threads, splits) splits still run that
-    way, and the last ones run in separate processes, each from the
-    incumbent the sequential splits reached.  ``best_m`` and the witness do
-    not depend on the thread count: a split searched from an incumbent
-    below its optimum ends on the first optimal leaf in DFS order, whatever
-    the incumbent, and the witness is taken from the smallest p attaining
-    the optimum.
+    running best is carried across splits as the incumbent.  The witness
+    is the first optimal leaf in DFS order of the smallest p attaining the
+    optimum.  ``threads`` must be a positive integer and has no effect: it
+    is kept so that existing callers run unchanged.
     """
     _check_density_size(n)
     if not _is_int(threads) or threads < 1:
@@ -393,42 +388,21 @@ def max_density(n: int, constraint: Constraint, threads: int = 1) -> SearchResul
     if isinstance(constraint, Quasiplanar):
         p, q = _quasiplanar_optimum(n, constraint.h)
         return SearchResult(p * q, complete_bipartite(p, q), SearchStats(0, (time.perf_counter() - t0) * 1000.0))
-    splits = [(p, n - p) for p in range(1, n // 2 + 1)]
-    # no cell crosses more than (p - 1)(q - 1) others, so a larger k allows
-    # the same drawings; clamped, the state no longer grows with k
-    ks = [min(constraint.k, (p - 1) * (q - 1)) for p, q in splits]
     split_stats: list[SplitStats] = []
     best = 0
-    best_split: tuple[int, int] | None = None
+    best_p = 0
     best_cells: list[Edge] | None = None
+    for p in range(1, n // 2 + 1):
+        q = n - p
+        # no cell crosses more than (p - 1)(q - 1) others, so a larger k
+        # allows the same drawings; clamped, the state no longer grows with k
+        got, cells, stats, _ = _search_split(p, q, min(constraint.k, (p - 1) * (q - 1)), best)
+        split_stats.append(stats)
+        if got > best:
+            best, best_p, best_cells = got, p, cells
 
-    workers = min(threads, len(splits))
-    n_seq = len(splits) - workers if workers > 1 else len(splits)
-
-    with ExitStack() as stack:
-
-        def results():
-            # lazy, so each split starts from the best of the splits before
-            # it, and the parallel ones from the best of the sequential ones
-            for (p, q), k in zip(splits[:n_seq], ks):
-                yield _search_split(p, q, k, best)
-            if n_seq < len(splits):
-                # imported here, so that `import layerlens` leaves out multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
-
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-                ps, qs = zip(*splits[n_seq:])
-                yield from pool.map(_search_split, ps, qs, ks[n_seq:], repeat(best))
-
-        for split, (got, cells, stats, _) in zip(splits, results()):
-            split_stats.append(stats)
-            if got > best:
-                best = got
-                best_split = split
-                best_cells = cells
-
-    assert best_split is not None and best_cells is not None
-    witness = Drawing(best_split[0], best_split[1], frozenset(best_cells))
+    assert best_cells is not None
+    witness = Drawing(best_p, n - best_p, frozenset(best_cells))
     millis = (time.perf_counter() - t0) * 1000.0
     total_nodes = sum(s.nodes for s in split_stats)
     return SearchResult(best, witness, SearchStats(total_nodes, millis, tuple(split_stats)))

@@ -93,7 +93,7 @@ def test_run_all_builds_each_family_instance_once(monkeypatch):
 
     monkeypatch.setattr(fam, "generate", counting)
     # criteria 1 and 8 build no family instance; the tests above run them
-    monkeypatch.setattr(rep, "check_density_table", lambda threads=1: [])
+    monkeypatch.setattr(rep, "check_density_table", lambda: [])
     monkeypatch.setattr(rep, "check_oracle_equivalence", lambda: [])
     assert all(r.passed for r in rep.run_all())
     # one shared pass over the 482 instances up to size 50 for criteria 2, 5,

@@ -512,6 +512,26 @@ def test_deeply_nested_input_is_data_error(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["analyze", "{}"], '{"p": 2, "q": 2, "edges": [[1, 1' + "0" * 5000 + "]]}"),
+        (["bounds", "--k", "6", "--table", "{}"], '{"alpha": ["1"], "beta": [1' + "0" * 5000 + "]}"),
+    ],
+    ids=["analyze", "bounds-table"],
+)
+def test_huge_integer_in_input_is_data_error(capsys, tmp_path, argv, text):
+    # json.load raises a plain ValueError on an int of more than
+    # sys.get_int_max_str_digits() digits; the message names the file
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert main([arg.format(path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {path}: an integer has more than {sys.get_int_max_str_digits()} digits\n"
+    assert len(captured.err.encode()) < 200
+
+
+@pytest.mark.parametrize(
     "text",
     [
         '{"p": 2, "q": 2, "edges": [[' + ", ".join(["1"] * 200_000) + "]]}",
@@ -522,7 +542,7 @@ def test_deeply_nested_input_is_data_error(capsys, tmp_path, argv):
 )
 @pytest.mark.parametrize("command", ["analyze", "pathwidth"])
 def test_invalid_input_message_is_bounded(tmp_path, text, command):
-    # the bad value is shown by reprlib.repr, not in full: a 200,000-int
+    # the bad value is shown by reprlib, not in full: a 200,000-int
     # edge once gave a 600,043-byte line.  A child process, as under pytest
     # the stack is too deep for json.load to read the 980-deep edge.
     path = tmp_path / "bad.json"
@@ -573,7 +593,7 @@ def test_nonpositive_threads_is_usage_error(capsys, command, threads):
 def test_unwritable_output_is_usage_error(capsys, monkeypatch, tmp_path, k23_file, argv):
     # the output's directory does not exist; the command fails before it
     # prints anything or starts its work
-    def run_all(threads=1, elapsed=None):
+    def run_all(elapsed=None):
         raise AssertionError("the suite ran before the output was opened")
 
     monkeypatch.setattr(rep, "run_all", run_all)
@@ -614,16 +634,6 @@ def test_search_witness_and_csv_on_one_file_is_usage_error(capsys, monkeypatch, 
     assert (tmp_path / "same.txt").read_text() == "kept"
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_bad_threads_variable_is_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("LAYERLENS_THREADS", value)
-    assert main(["search", "--n", "6", "--k", "2"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "LAYERLENS_THREADS" in captured.err
-
-
-
 def test_reproduce_json_rows_equal_the_csv_rows(capsys, tmp_path):
     out = tmp_path / "rows.csv"
     assert main(["reproduce", "--json", "--out", str(out)]) == 0
@@ -641,7 +651,7 @@ def test_reproduce_json_rows_equal_the_csv_rows(capsys, tmp_path):
 def test_reproduce_json_keeps_the_exit_codes(capsys, monkeypatch, passed):
     rows = [rep.CheckRow("1", "a, quoted \"case\"", "1", "1", True), rep.CheckRow("2", "b", "0", "0", passed)]
 
-    def run_all(threads=1, elapsed=None):
+    def run_all(elapsed=None):
         elapsed.update({"families": 0.5, "1": 0.25})
         return rows
 

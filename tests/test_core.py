@@ -81,6 +81,24 @@ class TestDrawing:
         with pytest.raises(ValueError, match=re.escape("edge (True, 1) is not a pair of integers")):
             Drawing(2, 2, [(1, 1), (True, 1), (1, 3)])
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((2, 2, [(1, 10**5000)]), "edge (1, <16610-bit int>) lies outside the 2x2 grid"),
+            ((10**5000, 2, [(1, 3)]), "edge (1, 3) lies outside the <16610-bit int>x2 grid"),
+            ((-(10**5000), 1), "layer sizes must be positive, got p=<negative 16610-bit int>, q=1"),
+            (([10**5000], 2), "layer sizes must be integers, got p=[<16610-bit int>], q=2"),
+            ((2, 2, [(1, 2, 10**5000)]), "edge (1, 2, <16610-bit int>) is not a pair of integers"),
+        ],
+        ids=["edge", "grid", "negative", "nested", "triple"],
+    )
+    def test_messages_show_a_huge_int_by_its_size(self, args, message):
+        # its decimal form has more digits than int-to-str conversion allows
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Drawing(*args)
+        with pytest.raises(ValueError, match=re.escape("edge [1, 2, <16610-bit int>] is not an [i, x] pair")):
+            drawing_from_json({"p": 2, "q": 2, "edges": [[1, 2, 10**5000]]})
+
     def test_non_tuple_edges_keep_their_errors(self):
         with pytest.raises(TypeError):
             Drawing(2, 2, frozenset([frozenset([1, 2])]))

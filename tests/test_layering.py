@@ -1,7 +1,7 @@
 """The package's import graph: stdlib-only at runtime, and layered.
 
 Every library module below ``reproduce`` and ``cli`` depends on ``core``
-alone, except ``bounds``, which reads the family registry.  The imports
+alone, except ``bounds``, which also reads the family registry.  The imports
 are read from the source with ``ast``, nested ones included, so nothing
 is imported to check them.
 """
@@ -26,7 +26,7 @@ LAYERS: dict[str, set[str]] = {
     "decomposition": {"core"},
     "oracles": {"core"},
     "export": {"core"},
-    "bounds": {"families"},
+    "bounds": {"core", "families"},
     "reproduce": {"core", "families", "search", "decomposition", "oracles", "bounds"},
     "cli": {"core", "families", "search", "decomposition", "bounds", "export", "reproduce"},
     "__init__": {"core", "families", "search", "decomposition", "bounds"},
@@ -70,7 +70,7 @@ def test_module_layering():
 
 
 def test_import_leaves_out_multiprocessing():
-    # max_density imports its process pool on the parallel path only
+    # the library runs in one process, so importing it starts no pool machinery
     code = "import sys, layerlens, layerlens.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import random
@@ -177,26 +176,19 @@ class TestMaxDensity:
         with pytest.raises(TypeError):
             max_density(6, constraint)
 
-    def test_parallel_matches_sequential(self):
-        # at n = 11 the splits p = 4 and 5 run in worker processes; a
-        # quasiplanar constraint reaches no worker, as it runs no search
-        for n, cons, threads in [(8, KPlanar(3), 3), (7, Quasiplanar(3), 3), (11, KPlanar(5), 2)]:
-            seq = _max_density(n, cons)
-            par = max_density(n, cons, threads=threads)
-            assert seq.best_m == par.best_m
-            assert seq.witness == par.witness
-            assert [(s.p, s.q) for s in par.stats.splits] == [(s.p, s.q) for s in seq.stats.splits]
-
-    def test_parallel_splits_start_from_the_sequential_incumbent(self):
-        # splits p = 1..3 run in order, then p = 4 and 5 in two processes,
-        # both from the best of p <= 3
-        seq = _max_density(11, KPlanar(8))
-        par = _max_density(11, KPlanar(8), threads=2)
-        assert par.stats.nodes == 833
-        assert (par.best_m, par.witness) == (seq.best_m, seq.witness)
-        # the main DFS of each split, as when every suffix was solved in
-        # full; p = 5 starts from a lower incumbent than in sequence
-        assert [s.nodes - s.bound_nodes for s in par.stats.splits] == [11, 27, 171, 216, 295]
+    def test_threads_has_no_effect(self):
+        # threads is accepted and validated, and changes no result or count
+        for n in (8, 11, 14):
+            for k in (0, 2, 5, 8, 16):
+                want = _max_density(n, KPlanar(k))
+                for threads in (1, 2, 4):
+                    got = max_density(n, KPlanar(k), threads=threads)
+                    assert (got.best_m, got.witness, got.stats.nodes, got.stats.splits) == (
+                        want.best_m,
+                        want.witness,
+                        want.stats.nodes,
+                        want.stats.splits,
+                    ), (n, k, threads)
 
     # Optimum, witness cells ("ix" = top i, bottom x) and the node count of
     # the search tree before the suffix bound, each measured exactly with
@@ -286,8 +278,7 @@ class TestMaxDensity:
     # Optimum, witness split p and witness cells ("i:a-b,c" = top i with
     # bottoms a..b and c) at the top of the range and past the largest k of
     # the tables above, measured with the addable count and the suffix bound
-    # only.  Every bound the search adds must be admissible, so these stay,
-    # with threads=2 too.
+    # only.  Every bound the search adds must be admissible, so these stay.
     TOP_OF_RANGE = [
         (14, 0, 13, 1, "1:1-13"),
         (14, 1, 19, 7, "1:1-2 2:1-3 3:2-4 4:3-5 5:4-6 6:5-7 7:6-7"),
@@ -314,10 +305,8 @@ class TestMaxDensity:
             for run in runs.split(","):
                 lo, _, hi = run.partition("-")
                 edges.update((int(i), x) for x in range(int(lo), int(hi or lo) + 1))
-        want = (best_m, Drawing(p, n - p, frozenset(edges)))
-        seq = _max_density(n, KPlanar(k))
-        par = max_density(n, KPlanar(k), threads=2)
-        assert (seq.best_m, seq.witness) == (par.best_m, par.witness) == want
+        r = _max_density(n, KPlanar(k))
+        assert (r.best_m, r.witness) == (best_m, Drawing(p, n - p, frozenset(edges)))
 
     def test_top_of_range_bound_tables(self):
         # sha256 of repr([[cap of the split p x (14 - p) for p = 1..7] for
@@ -338,12 +327,9 @@ class TestMaxDensity:
         assert r.stats.nodes == sum(s.nodes for s in r.stats.splits)
         assert all(0 <= s.bound_nodes < s.nodes for s in r.stats.splits)
         # the suffix solves do not depend on the incumbent, so each split
-        # spends the same bound nodes in a worker process
-        par = _max_density(11, KPlanar(8), threads=2)
-        assert [(s.p, s.q, s.bound_nodes, s.solves) for s in par.stats.splits] == [
-            (s.p, s.q, s.bound_nodes, s.solves) for s in r.stats.splits
-        ]
-        assert par.stats.nodes == sum(s.nodes for s in par.stats.splits)
+        # spends the same bound nodes from an incumbent of 0
+        fresh = [_search_split(s.p, s.q, min(8, (s.p - 1) * (s.q - 1)), 0)[2] for s in r.stats.splits]
+        assert [(s.bound_nodes, s.solves) for s in fresh] == [(s.bound_nodes, s.solves) for s in r.stats.splits]
 
     @pytest.mark.parametrize("n,constraint", [(11, KPlanar(8)), (12, KPlanar(5)), (12, KPlanar(2)), (10, Quasiplanar(3))])
     def test_suffix_solves_counted(self, n, constraint):
@@ -355,8 +341,6 @@ class TestMaxDensity:
         assert all((s.solves == 0) == (s.bound_nodes == 0) for s in splits)
         if isinstance(constraint, KPlanar):
             assert sum(s.solves for s in splits) > 0
-            par = _max_density(n, constraint, threads=2).stats.splits
-            assert [(s.p, s.bound_nodes, s.solves) for s in par] == [(s.p, s.bound_nodes, s.solves) for s in splits]
 
     def test_split_stats_constructor_without_solves(self):
         assert SplitStats(1, 2, 3, 0).solves == 0
@@ -379,9 +363,7 @@ class TestMaxDensity:
             raise AssertionError("searched")
 
         monkeypatch.setattr(search, "_search_split", fail)
-        # max_density imports the pool class on its parallel path only
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fail)
-        assert max_density(14, Quasiplanar(4), threads=2).best_m == 33
+        assert max_density(14, Quasiplanar(4)).best_m == 33
 
 
 def _brute_force_suffix_optima(
