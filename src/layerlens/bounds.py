@@ -11,6 +11,8 @@ two layers; its alpha column sums to 125/12, which drives the constants
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -257,8 +259,12 @@ def table_to_json(table: CoefficientTable) -> dict:
 def table_from_json(data: dict) -> CoefficientTable:
     if not isinstance(data, dict) or not all(isinstance(data.get(key), list) for key in ("alpha", "beta")):
         raise ValueError("table JSON must contain alpha and beta lists")
-    if any(isinstance(v, bool) for v in data["alpha"] + data["beta"]):
+    rows = data["alpha"] + data["beta"]
+    if any(isinstance(v, bool) for v in rows):
         raise ValueError("bad rational in table: true and false are not rationals")
+    limit = sys.get_int_max_str_digits() or math.inf  # Fraction reads each run of digits with int(); 0 is no limit
+    if any(len(r) > limit for v in rows if isinstance(v, str) for r in re.findall(r"\d+", v.replace("_", ""))):
+        raise ValueError(f"bad rational in table: an integer has more than {limit} digits")
     try:
         alpha = tuple(Fraction(a) for a in data["alpha"])
         beta = tuple(Fraction(b) for b in data["beta"])
@@ -271,4 +277,8 @@ def table_from_json(data: dict) -> CoefficientTable:
 
 
 def load_table(path: str) -> CoefficientTable:
-    return table_from_json(_read_json(path))
+    data = _read_json(path)
+    try:
+        return table_from_json(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -36,16 +36,17 @@ grid cells in lexicographic (row, column) order:
   suffixes that needed a search,
 * one k-planar DFS kernel whose state is two integers: a blocked-cell
   bitmask marking the cells that can no longer be added, so the addable
-  count is one popcount, and bit-sliced masks, "crossed by at least j chosen
-  cells", packed into one integer, plane j at bits jN..(j+1)N-1 for N
-  cells, so one shift, AND and OR, written out in the kernel, advance
-  every crossing counter at once; the residual budget costs two more
-  popcounts per row that holds a chosen cell.  A node is counted when
-  its parent creates it, whether or not it is pruned; the parent
-  bound-checks each child before entering it, and the exclude child
-  continues in its parent's frame.  The tests keep a DFS that takes an
-  include step as a function, the reference route for the kernel and
-  for the closed form.
+  count is one popcount, and bit-sliced masks, "crossed by at least j
+  chosen cells", packed into one integer, plane j at bits jN..(j+1)N-1 for
+  N cells, so one shift, AND and OR, written out in the kernel, advance
+  every crossing counter at once; the residual budget, a yes/no test
+  against what the node needs, takes two popcounts per row holding a
+  chosen cell, until one rules it out, and a suffix drawing is extended by
+  checking the cells the new one crosses.  A node is counted when its
+  parent creates it, whether or not it is pruned; the parent bound-checks
+  each child before entering it, and the exclude child continues in its
+  parent's frame.  The tests keep a DFS that takes an include step as a
+  function, the reference route for the kernel and for the closed form.
 
 ``minimax_k`` minimizes the maximum per-edge crossing count of a
 drawing over all re-orderings of both of its layers, so the order the
@@ -159,17 +160,12 @@ def _grid_cells(p: int, q: int) -> list[Edge]:
     return list(product(range(1, p + 1), range(1, q + 1)))
 
 
-def _cross_masks(cells: list[Edge]) -> list[int]:
-    n = len(cells)
-    masks = [0] * n
-    for a in range(n):
-        ia, xa = cells[a]
-        for b in range(a + 1, n):
-            ib, xb = cells[b]
-            if (ia - ib) * (xa - xb) < 0:
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-    return masks
+def _cross_masks(p: int, q: int) -> list[int]:
+    """The cells each cell (r, c) of the p x q grid crosses, in cell order:
+    those right of column c in the rows above r and left of it below, each
+    row mask copied onto those rows by one product."""
+    h = [sum(1 << t * q for t in range(r)) for r in range(p + 1)]  # h[r]: the first cell of each row above r
+    return [((1 << q) - (2 << c)) * h[r] | ((1 << c) - 1) * (h[p] ^ h[r + 1]) for r in range(p) for c in range(q)]
 
 
 class _SuffixSolved(Exception):
@@ -207,24 +203,27 @@ def _search_split(p: int, q: int, k: int, start_best: int) -> tuple[int, list[Ed
     crossings, so a completion adds at most
     ``len(free) - a_e + min(a_e, k - c_e)`` cells (the residual budget).
     That holds for every chosen cell, so the least over any of them is
-    admissible; ``room`` is the least of ``len(free)`` and the bounds of
-    the rightmost chosen cell of each row, which is crossed by every later
-    cell that crosses a chosen cell left of it.  ``cap[pos]`` is the most cells of ``pos..N-1`` that are k-planar on
-    their own (a Russian-doll bound).  The constraint is hereditary, so the
-    later cells of any completion form an allowed drawing by themselves and
-    number at most ``cap[pos]``.  From the second row on, ``cap`` is exact:
-    it is settled last cell first, keeping ``wit``, the mask of an optimal
-    drawing of the suffix ``pos + 1..N-1``.  One more cell adds at most one
-    edge, so ``cap[pos]`` is ``cap[pos + 1]`` or one more.  If every cell of
-    ``wit`` and ``pos`` crosses at most k of them, it is one more and
-    ``pos`` joins ``wit`` with no search; a cell of the first column crosses
-    no later cell, so it always joins.  Otherwise this same DFS solves the
-    suffix alone, without rotation canonicalization, from the incumbent
-    ``cap[pos + 1]``, and stops at the first leaf one above it, whose cells
-    become ``wit``; ``solves`` counts these searches.  On the first row
-    ``cap`` is ``cap[q] + (q - pos)``, because exact solves there cost more
-    nodes than they save.  An admissible bound never prunes the first
-    optimal leaf in DFS order, so the result does not depend on it.
+    admissible; ``room`` tests the least of ``len(free)`` and the bounds of
+    each row's rightmost chosen cell, crossed by every later cell that
+    crosses a chosen cell left of it, against a need (``best - m`` to
+    include, one more to exclude), row by row from the highest, until one
+    rules it out.  ``cap[pos]`` is the most cells of ``pos..N-1`` that are
+    k-planar on their own (a Russian-doll bound).  The constraint is
+    hereditary, so the later cells of any completion form an allowed drawing
+    by themselves and number at most ``cap[pos]``.  From the second row on,
+    ``cap`` is exact: it is settled last cell first, keeping ``wit``, the
+    mask of an optimal drawing of the suffix ``pos + 1..N-1``.  One more
+    cell adds at most one edge, so ``cap[pos]`` is ``cap[pos + 1]`` or one
+    more.  If ``wit`` and ``pos`` are k-planar together (``extends`` checks
+    the cells ``pos`` crosses), it is one more and ``pos`` joins ``wit``
+    with no search; a cell of the first column crosses no later cell, so it
+    always joins.  Otherwise this same DFS solves the suffix alone, without
+    rotation canonicalization, from the incumbent ``cap[pos + 1]``, and
+    stops at the first leaf one above it, whose cells become ``wit``;
+    ``solves`` counts these searches.  On the first row ``cap`` is
+    ``cap[q] + (q - pos)``, because exact solves there cost more nodes than
+    they save.  An admissible bound never prunes the first optimal leaf in
+    DFS order, so the result does not depend on it.
 
     Rotation canonicalization: the 180 degree rotation maps cell t to cell
     N-1-t and preserves crossings, hence the constraint, so each drawing and
@@ -233,9 +232,8 @@ def _search_split(p: int, q: int, k: int, start_best: int) -> tuple[int, list[Ed
     unequal pair may only have the later cell included, which halves the
     symmetric part of the tree.
     """
-    cells = _grid_cells(p, q)
-    n_cells = len(cells)
-    cross = _cross_masks(cells)
+    n_cells = p * q
+    cross = _cross_masks(p, q)
     ones = (1 << n_cells) - 1
     future = [ones >> pos << pos for pos in range(n_cells + 1)]
     # cross[pos] copied into planes 1..k+1; the shift's plane k+2 drops off
@@ -243,27 +241,26 @@ def _search_split(p: int, q: int, k: int, start_best: int) -> tuple[int, list[Ed
     cross_rep = [cm * rep for cm in cross]
     kn = k * n_cells
     top = kn + n_cells
-    # at k = 0 a chosen cell blocks every cell crossing it, so room is the
-    # addable count and needs no row
-    rows = [((1 << q) - 1) << r * q for r in range(p)] if k else []
+    above = [(1 << t // q * q) - 1 for t in range(n_cells)]  # the cells of the rows above t's row
     nodes = 0
     best_chosen: int | None = None
     cap = [0] * (n_cells + 1)
 
-    def room(chosen: int, free: int) -> int:
-        """At most how many cells of ``free`` a completion of ``chosen``
-        adds: all of them, less, for the rightmost chosen cell e of each
-        row, its crossers in ``free`` beyond the k - c_e crossings e has
-        left, c_e being the chosen cells crossing e."""
-        excess = 0
-        for row in rows:
-            last = chosen & row
-            if last:
-                cm = cross[last.bit_length() - 1]
-                over = (free & cm).bit_count() + (chosen & cm).bit_count() - k
-                if over > excess:
-                    excess = over
-        return free.bit_count() - excess
+    def room(chosen: int, free: int, need: int) -> bool:
+        """Whether the residual budget lets a completion of ``chosen`` add
+        ``need`` cells of ``free``; at k = 0 a chosen cell blocks every cell
+        crossing it, so no row lowers the addable count."""
+        slack = free.bit_count() - need
+        if slack < 0:
+            return False
+        rest = chosen if k else 0
+        while rest:
+            e = rest.bit_length() - 1
+            cm = cross[e]
+            if (free & cm).bit_count() + (chosen & cm).bit_count() - k > slack:
+                return False
+            rest &= above[e]
+        return True
 
     def dfs(pos: int, m: int, chosen: int, blocked: int, packed: int, eq: bool) -> None:
         """The subtree of a node already counted and bound-checked; the
@@ -296,13 +293,13 @@ def _search_split(p: int, q: int, k: int, start_best: int) -> tuple[int, list[Ed
                     low = full & -full
                     grown_blocked |= cross[low.bit_length() - 1]
                     full ^= low
-                if m + room(chosen | 1 << pos, future[pos + 1] & ~grown_blocked) >= best:
+                if room(chosen | 1 << pos, future[pos + 1] & ~grown_blocked, best - m):
                     dfs(pos + 1, m + 1, chosen | 1 << pos, grown_blocked, grown, eq_inc)
             if force_include or not cross[pos]:
                 return
             nodes += 1
             pos += 1
-            if m + cap[pos] <= best or m + room(chosen, future[pos] & ~blocked) <= best:
+            if m + cap[pos] <= best or not room(chosen, future[pos] & ~blocked, best - m + 1):
                 return
         best = m
         best_chosen = chosen
@@ -315,12 +312,15 @@ def _search_split(p: int, q: int, k: int, start_best: int) -> tuple[int, list[Ed
         if cap[pos] > best and n_cells - pos > best:
             dfs(pos, 0, 0, 0, ones, eq)
 
-    def allowed(mask: int) -> bool:
-        """Whether every cell of ``mask`` crosses at most k of its cells."""
-        rest = mask
+    def extends(wit: int, pos: int) -> bool:
+        """Whether ``wit | 1 << pos`` is k-planar, ``wit`` being k-planar and
+        after pos: pos crosses at most k cells of it, each crossing under k."""
+        rest = cross[pos] & wit
+        if rest.bit_count() > k:
+            return False
         while rest:
             low = rest & -rest
-            if (cross[low.bit_length() - 1] & mask).bit_count() > k:
+            if (cross[low.bit_length() - 1] & wit).bit_count() >= k:
                 return False
             rest ^= low
         return True
@@ -330,7 +330,7 @@ def _search_split(p: int, q: int, k: int, start_best: int) -> tuple[int, list[Ed
     for pos in range(n_cells - 1, q - 1, -1):
         limit = cap[pos + 1] + 1
         cap[pos] = limit  # the most it can be; bounds the root of a solve
-        if allowed(wit | 1 << pos):
+        if extends(wit, pos):
             wit |= 1 << pos
             continue
         solves += 1
@@ -347,8 +347,8 @@ def _search_split(p: int, q: int, k: int, start_best: int) -> tuple[int, list[Ed
     best_chosen = None
     limit = n_cells + 1  # out of reach: the main DFS runs to the end
     root(0, True)
-    best_cells = None if best_chosen is None else [cells[t] for t in range(n_cells) if best_chosen >> t & 1]
-    return best, best_cells, SplitStats(p, q, nodes, bound_nodes, solves), cap
+    cells = None if best_chosen is None else [(t // q + 1, t % q + 1) for t in range(n_cells) if best_chosen >> t & 1]
+    return best, cells, SplitStats(p, q, nodes, bound_nodes, solves), cap
 
 
 def _quasiplanar_optimum(n: int, h: int) -> tuple[int, int]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,34 @@ class TestTableJson:
     def test_rejects_malformed_rows(self, data):
         with pytest.raises(ValueError):
             table_from_json(data)
+
+    def test_long_rational_string_is_named_by_its_size(self):
+        # Fraction converts each run of digits with int(), which refuses more
+        # than sys.get_int_max_str_digits() digits; the check comes first, so
+        # the message does not quote Python's int-limit text
+        limit = sys.get_int_max_str_digits()
+        for text in ["1" + "0" * limit, "1/" + "3" * (limit + 1), "1." + "5" * (limit + 1), "12_" * (limit // 2) + "1"]:
+            with pytest.raises(ValueError) as info:
+                table_from_json({"alpha": ["1"], "beta": [text]})
+            assert str(info.value) == f"bad rational in table: an integer has more than {limit} digits"
+        # runs within the limit pass, however long the string
+        long_runs = "3" * limit + "/" + "1" * limit
+        assert table_from_json({"alpha": [long_runs], "beta": ["0"]}).alpha == (Fraction(long_runs),)
+
+    def test_no_int_limit_no_digit_check(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert table_from_json({"alpha": ["1" + "0" * 5000], "beta": ["0"]}).alpha == (Fraction(10**5000),)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_loaded_table_errors_start_with_the_path(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text('{"alpha": ["1/0"], "beta": ["0"]}', encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_table(str(path))
+        assert str(info.value) == f"{path}: bad rational in table: Fraction(1, 0)"
 
     def test_accepts_finite_numbers(self):
         t = table_from_json({"alpha": [1, 1.5], "beta": [0, 2]})

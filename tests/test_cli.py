@@ -531,6 +531,18 @@ def test_huge_integer_in_input_is_data_error(capsys, tmp_path, argv, text):
     assert len(captured.err.encode()) < 200
 
 
+def test_long_rational_string_in_table_is_data_error(capsys, tmp_path):
+    # the same digits as a string reach Fraction, not json.load: the table
+    # reader counts them first and names the file
+    path = tmp_path / "t.json"
+    path.write_text('{"alpha": ["1"], "beta": ["1' + "0" * 5000 + '"]}')
+    assert main(["bounds", "--k", "6", "--table", str(path)]) == 2
+    captured = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {path}: bad rational in table: an integer has more than {limit} digits\n"
+
+
 @pytest.mark.parametrize(
     "text",
     [

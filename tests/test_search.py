@@ -321,6 +321,23 @@ class TestMaxDensity:
         digest = "0243160c2225362292db532f6cbf9bbb182bf7b9c880e221c69d532345fb4e60"
         assert hashlib.sha256(repr(caps).encode()).hexdigest() == digest
 
+    def test_sweep_digest(self):
+        # sha256 of repr([(best_m, nodes, [(p, nodes, bound nodes, solves) of
+        # each split], witness edges) for n = 2..14, k = 0..10]), 366,141
+        # nodes in all, measured at commit 7e88bca, before the residual-budget
+        # bound became a test that stops at the first row ruling it out, the
+        # suffix check became incremental and the crossing masks were built
+        # from row products.  Rewrites that change the cost of a node, and
+        # not the nodes, keep it.
+        sweep = []
+        for n in range(2, 15):
+            for k in range(11):
+                r = max_density(n, KPlanar(k))
+                splits = [(s.p, s.nodes, s.bound_nodes, s.solves) for s in r.stats.splits]
+                sweep.append((r.best_m, r.stats.nodes, splits, r.witness.sorted_edges()))
+        digest = "860d75d8b9d6ad99dc265810c944f3ecc1330c8e6a97ea4544290b934b6cf27c"
+        assert hashlib.sha256(repr(sweep).encode()).hexdigest() == digest
+
     def test_split_stats(self):
         r = _max_density(11, KPlanar(8))
         assert [(s.p, s.q) for s in r.stats.splits] == [(p, 11 - p) for p in range(1, 6)]
@@ -422,6 +439,28 @@ def test_suffix_bound_table_beyond_twelve_cells(p, q, start):
         assert cap[start:] == optima[c], c
 
 
+def _pair_cross_masks(cells: list[tuple[int, int]]) -> list[int]:
+    """The crossing mask of each cell, from a test of every pair: the
+    reference for ``search._cross_masks``, and the masks of the reference
+    DFS, so that it shares no mask code with the kernel."""
+    n = len(cells)
+    masks = [0] * n
+    for a in range(n):
+        ia, xa = cells[a]
+        for b in range(a + 1, n):
+            ib, xb = cells[b]
+            if (ia - ib) * (xa - xb) < 0:
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+    return masks
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_cross_masks_match_the_pair_test(p):
+    for q in range(1, 9):
+        assert search._cross_masks(p, q) == _pair_cross_masks(search._grid_cells(p, q)), q
+
+
 def _budget_bound(k: int, q: int, cross: list[int], chosen: int, free: int) -> int:
     """The residual-budget bound of ``_search_split``, written plainly: the
     most cells of ``free`` a k-planar completion of ``chosen`` can add,
@@ -458,7 +497,7 @@ def _reference_split(p: int, q: int, step, start_best: int, k: int | None = None
     is decided by replaying the include step over it in cell order."""
     cells = search._grid_cells(p, q)
     n_cells = len(cells)
-    cross = search._cross_masks(cells)
+    cross = _pair_cross_masks(cells)
     future = [((1 << n_cells) - 1) >> pos << pos for pos in range(n_cells + 1)]
     include, start = step(cross)
     nodes = 0
@@ -610,7 +649,7 @@ def test_budget_bound_is_admissible(p, q):
     # random k-planar prefixes of the cells before pos, built as the DFS
     # builds them; the bound must be at least the most undecided cells that
     # a completion adds, found over every subset of the addable ones
-    cross = search._cross_masks(search._grid_cells(p, q))
+    cross = _pair_cross_masks(search._grid_cells(p, q))
     n_cells = len(cross)
     rng = random.Random(p * 100 + q)
     pruned = 0
