@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import combinations
 
 import pytest
@@ -232,3 +234,31 @@ class TestFamilySpec:
         d = generate(spec)
         assert (d.n, d.m) == closed_form(spec)
         assert brute_force_profile(d).max_per_edge <= advertised_k(spec)
+
+
+def test_family_edges_digest():
+    # every edge set, not only counts and caps: sha256 over 1,822
+    # generator calls, pinned on the edge loops the shape builders
+    # replaced
+    h = hashlib.sha256()
+    calls = 0
+
+    def feed(d):
+        nonlocal calls
+        h.update(json.dumps([d.p, d.q, sorted(d.edges)]).encode())
+        calls += 1
+
+    for beta in range(1, 51):
+        feed(opt2planar(beta))
+        feed(planar4_family(beta))
+    for beta in range(2, 51):
+        feed(planar5_family(beta))
+        feed(planar6_family(beta))
+    for p in range(3, 51):
+        feed(planar3_family(p))
+    for k in range(2, 61):
+        for p in range(band_offset(k) + 1, 31):
+            feed(general_k_family(p, k))
+    feed(special_s())
+    assert calls == 1822
+    assert h.hexdigest() == "528238d0e47072047da9414929c12b30c4c5744d69d6fbefdeed270c23f893a2"
