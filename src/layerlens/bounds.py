@@ -262,9 +262,14 @@ def table_from_json(data: dict) -> CoefficientTable:
     rows = data["alpha"] + data["beta"]
     if any(isinstance(v, bool) for v in rows):
         raise ValueError("bad rational in table: true and false are not rationals")
-    limit = sys.get_int_max_str_digits() or math.inf  # Fraction reads each run of digits with int(); 0 is no limit
-    if any(len(r) > limit for v in rows if isinstance(v, str) for r in re.findall(r"\d+", v.replace("_", ""))):
+    # Fraction reads each run of digits with int() and builds 10**|exponent|,
+    # so both count against the int-string limit; 0 is no limit
+    limit = sys.get_int_max_str_digits() or math.inf
+    texts = [v.replace("_", "") for v in rows if isinstance(v, str)]
+    if any(len(r) > limit for v in texts for r in re.findall(r"\d+", v)):
         raise ValueError(f"bad rational in table: an integer has more than {limit} digits")
+    if any(abs(int(e)) > limit for v in texts for e in re.findall(r"[eE]([-+]?\d+)", v)):
+        raise ValueError(f"bad rational in table: an exponent exceeds {limit}")
     try:
         alpha = tuple(Fraction(a) for a in data["alpha"])
         beta = tuple(Fraction(b) for b in data["beta"])

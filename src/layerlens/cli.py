@@ -363,13 +363,7 @@ def _cmd_crossing_bound(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     d = _load(args.drawing)
     with _outputs(args.out) as (out,):
-        if args.format == "dot":
-            text = exp.to_dot(d)
-        elif args.format == "svg":
-            text = exp.to_svg(d)
-        else:
-            text = exp.to_csv(d)
-        _write_or_print(text, out)
+        _write_or_print(exp._FORMATS[args.format](d), out)
     return 0
 
 

@@ -375,17 +375,7 @@ def drawing_from_json(data: dict) -> Drawing:
     edges = data["edges"]
     if not isinstance(edges, list):
         raise ValueError("edges must be a list of [i, x] pairs")
-    # Exact lists and tuples go to Drawing first, so a valid file skips the
-    # per-edge pair check; it runs only when Drawing rejects them, to report
-    # a malformed edge ahead of Drawing's message.  Other edge types are
-    # checked first, as Drawing would take a two-key dict or a set as a pair.
-    if set(map(type, edges)) <= {list, tuple}:
-        try:
-            return Drawing(data["p"], data["q"], edges)
-        except (ValueError, TypeError):
-            _check_pairs(edges)
-            raise
-    _check_pairs(edges)
+    _check_pairs(edges)  # first: Drawing would take a two-key dict or a set as a pair
     return Drawing(data["p"], data["q"], edges)
 
 

@@ -10,8 +10,6 @@ from .core import Drawing, crossing_profile
 
 __all__ = ["to_dot", "to_svg", "to_csv", "EXPORT_FORMATS"]
 
-EXPORT_FORMATS = ("dot", "svg", "csv")
-
 _UNIT = 48  # SVG pixels between neighbouring vertices of a layer
 
 
@@ -60,3 +58,8 @@ def to_csv(d: Drawing) -> str:
     for i, x in d.sorted_edges():
         lines.append(f"{i},{x}")
     return "\n".join(lines) + "\n"
+
+
+# the one table of formats: the CLI's --format choices and its dispatch
+_FORMATS = {"dot": to_dot, "svg": to_svg, "csv": to_csv}
+EXPORT_FORMATS = tuple(_FORMATS)

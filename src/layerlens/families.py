@@ -5,6 +5,19 @@ and edge counts follow a closed form, and whose per-edge crossing count
 stays within the advertised cap.  Index ranges are clipped at the layer
 boundaries; clipped edges are omitted, never wrapped.
 
+Every family is built from one of two shapes:
+
+* a brick chain (``_brick_chain``): K_{a,b} bricks, consecutive ones
+  glued at a shared corner edge.  :func:`opt2planar` is the K_{2,3}
+  chain; :func:`planar4_family` is the K_{3,3} chain, and
+  :func:`planar5_family` and :func:`planar6_family` add one and two
+  paths through its brick middles;
+* an offset band (``_offset_band``): equal layers of size p with u_i
+  joined to v_{i+o} for each offset o.  :func:`planar3_family` is the
+  band of offsets -1..2, :func:`general_k_family` the band of offsets
+  +-1..+-ell with ell = floor(sqrt(k/2)), and :func:`special_s` the
+  band of offsets -2..2 on the 4x4 grid.
+
 The registry :data:`FAMILIES` is the single source of each family's
 minimum size, advertised cap and closed-form (n, m); :class:`FamilySpec`,
 :func:`min_size`, :func:`generate`, :func:`advertised_k`,
@@ -14,7 +27,7 @@ read it.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
@@ -40,6 +53,27 @@ __all__ = [
     "special_s",
 ]
 
+
+def _brick_chain(beta: int, a: int, b: int) -> set[Edge]:
+    """Edges of a chain of beta K_{a,b} bricks on beta*(a-1) + 1 top and
+    beta*(b-1) + 1 bottom vertices: brick t = 0..beta-1 joins top
+    vertices t*(a-1)+1..t*(a-1)+a to bottom vertices t*(b-1)+1..t*(b-1)+b,
+    so consecutive bricks share a corner edge."""
+    return {
+        (t * (a - 1) + i, t * (b - 1) + x)
+        for t in range(beta)
+        for i in range(1, a + 1)
+        for x in range(1, b + 1)
+    }
+
+
+def _offset_band(p: int, offsets: Iterable[int]) -> Drawing:
+    """The p x p drawing with every edge (i, i + o), o in offsets, that
+    fits in the grid."""
+    cells = ((i, i + o) for o in offsets for i in range(max(1, 1 - o), min(p, p - o) + 1))
+    return Drawing(p, p, frozenset(cells))
+
+
 def opt2planar(beta: int) -> Drawing:
     """Chain of beta K_{2,3} bricks, consecutive bricks glued at a shared
     crossing-free edge.
@@ -50,12 +84,7 @@ def opt2planar(beta: int) -> Drawing:
     """
     if beta < 1:
         raise ValueError("beta must be at least 1")
-    edges = set()
-    for b in range(1, beta + 1):
-        for i in (b, b + 1):
-            for x in (2 * b - 1, 2 * b, 2 * b + 1):
-                edges.add((i, x))
-    return Drawing(beta + 1, 2 * beta + 1, frozenset(edges))
+    return Drawing(beta + 1, 2 * beta + 1, frozenset(_brick_chain(beta, 2, 3)))
 
 
 def planar3_family(p: int) -> Drawing:
@@ -66,28 +95,16 @@ def planar3_family(p: int) -> Drawing:
     """
     if p < 3:
         raise ValueError("p must be at least 3")
-    edges = set()
-    for i in range(1, p + 1):
-        edges.add((i, i))
-        if i + 1 <= p:
-            edges.add((i, i + 1))
-        if i - 1 >= 1:
-            edges.add((i, i - 1))
-        if i + 2 <= p:
-            edges.add((i, i + 2))
-    return Drawing(p, p, frozenset(edges))
+    return _offset_band(p, range(-1, 3))
 
 
-def _k33_chain(beta: int) -> set[Edge]:
-    """Edges of the chain of beta K_{3,3} bricks on 2*beta + 1 vertices
-    per layer, consecutive bricks sharing a corner edge."""
-    edges = set()
-    for b in range(1, beta + 1):
-        lo = 2 * b - 1
-        for i in range(lo, lo + 3):
-            for x in range(lo, lo + 3):
-                edges.add((i, x))
-    return edges
+def _k33_chain(beta: int, *mirrored: bool) -> Drawing:
+    """Chain of beta K_{3,3} bricks on 2*beta + 1 vertices per layer, plus
+    one middle path for each entry of ``mirrored``."""
+    edges = _brick_chain(beta, 3, 3)
+    for m in mirrored:
+        edges.update(_middle_path(beta, m))
+    return Drawing(2 * beta + 1, 2 * beta + 1, frozenset(edges))
 
 
 def planar4_family(beta: int) -> Drawing:
@@ -97,8 +114,7 @@ def planar4_family(beta: int) -> Drawing:
     """
     if beta < 1:
         raise ValueError("beta must be at least 1")
-    side = 2 * beta + 1
-    return Drawing(side, side, frozenset(_k33_chain(beta)))
+    return _k33_chain(beta)
 
 
 def _middle_path(beta: int, mirrored: bool) -> list[Edge]:
@@ -120,10 +136,7 @@ def planar5_family(beta: int) -> Drawing:
     """
     if beta < 2:
         raise ValueError("beta must be at least 2")
-    edges = _k33_chain(beta)
-    edges.update(_middle_path(beta, mirrored=False))
-    side = 2 * beta + 1
-    return Drawing(side, side, frozenset(edges))
+    return _k33_chain(beta, False)
 
 
 def planar6_family(beta: int) -> Drawing:
@@ -133,11 +146,7 @@ def planar6_family(beta: int) -> Drawing:
     """
     if beta < 2:
         raise ValueError("beta must be at least 2")
-    edges = _k33_chain(beta)
-    edges.update(_middle_path(beta, mirrored=False))
-    edges.update(_middle_path(beta, mirrored=True))
-    side = 2 * beta + 1
-    return Drawing(side, side, frozenset(edges))
+    return _k33_chain(beta, False, True)
 
 
 def band_offset(k: int) -> int:
@@ -153,7 +162,7 @@ def band_offset(k: int) -> int:
 
 def general_k_family(p: int, k: int) -> Drawing:
     """Band family: each vertex joined to the next ell = floor(sqrt(k/2))
-    vertices of the other layer, in both directions.
+    vertices of the other layer, in both directions (offsets +-1..+-ell).
 
     n = 2p, m = 2*(ell*p - ell*(ell+1)/2); at most 2*ell^2 - 2*ell + 1 <= k
     crossings per edge, reached once p >= 3*ell - 1.
@@ -163,34 +172,22 @@ def general_k_family(p: int, k: int) -> Drawing:
     ell = band_offset(k)
     if p <= ell:
         raise ValueError(f"p must exceed the band half-width {ell}")
-    edges = set()
-    for i in range(1, p + 1):
-        for r in range(1, ell + 1):
-            if i + r <= p:
-                edges.add((i, i + r))
-                edges.add((i + r, i))
-    return Drawing(p, p, frozenset(edges))
-
-
-# The exceptional 8-vertex drawing: the full 4x4 grid minus its two
-# anti-diagonal corner edges.  Those corners are the only cells with more
-# than 5 crossings in the full grid, so this is the unique 14-edge
-# 5-planar drawing on a 4x4 split; the extremal search recovers it, and
-# the regeneration test re-verifies the frozen constant against an
-# exhaustive scan.
-_SPECIAL_S_EDGES: frozenset[Edge] = frozenset(
-    (i, x) for i in range(1, 5) for x in range(1, 5) if (i, x) not in ((1, 4), (4, 1))
-)
+    return _offset_band(p, [o for r in range(1, ell + 1) for o in (r, -r)])
 
 
 def special_s() -> Drawing:
     """The exceptional 8-vertex, 14-edge drawing with at most 5 crossings
-    per edge: K_{4,4} minus the edges (1,4) and (4,1).
+    per edge: K_{4,4} minus the edges (1,4) and (4,1), that is the band
+    of offsets -2..2 on the 4x4 grid.
 
-    Edge (4,4) is crossing-free, and edges (2,4) and (4,2) each carry
-    exactly 5 crossings.
+    The two dropped corners are the only cells with more than 5 crossings
+    in the full grid, so this is the unique 14-edge 5-planar drawing on a
+    4x4 split; the extremal search recovers it, and the regeneration test
+    re-verifies it against an exhaustive scan.  Edge (4,4) is
+    crossing-free, and edges (2,4) and (4,2) each carry exactly 5
+    crossings.
     """
-    return Drawing(4, 4, _SPECIAL_S_EDGES)
+    return _offset_band(4, range(-2, 3))
 
 
 def _band_counts(p: int, k: int) -> tuple[int, int]:

@@ -13,6 +13,8 @@ seeds, so every run sees the same drawings.
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 import time
 from collections.abc import Callable, Iterator
@@ -441,14 +443,11 @@ def _cells(r: CheckRow) -> tuple[str, str, str, str, str]:
 
 
 def rows_to_csv(rows: list[CheckRow]) -> str:
-    def quote(s: str) -> str:
-        if "," in s or '"' in s:
-            return '"' + s.replace('"', '""') + '"'
-        return s
-
-    out = [",".join(_FIELDS)]
-    out.extend(",".join(map(quote, _cells(r))) for r in rows)
-    return "\n".join(out) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(_FIELDS)
+    writer.writerows(map(_cells, rows))
+    return out.getvalue()
 
 
 def rows_to_json(rows: list[CheckRow], elapsed: dict[str, float]) -> dict:

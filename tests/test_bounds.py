@@ -198,11 +198,25 @@ class TestTableJson:
         long_runs = "3" * limit + "/" + "1" * limit
         assert table_from_json({"alpha": [long_runs], "beta": ["0"]}).alpha == (Fraction(long_runs),)
 
+    def test_long_exponent_is_named_by_its_size(self):
+        # Fraction builds 10**|exponent| as an exact int, so a 10-byte
+        # string could take seconds; the exponent counts against the same
+        # limit as a digit run
+        limit = sys.get_int_max_str_digits()
+        for text in [f"1e{limit + 1}", f"1E-{limit + 1}", f"2.5e+{limit + 1}", "1e3000000", "1e1_000_000"]:
+            with pytest.raises(ValueError) as info:
+                table_from_json({"alpha": ["1"], "beta": [text]})
+            assert str(info.value) == f"bad rational in table: an exponent exceeds {limit}"
+        t = table_from_json({"alpha": [f"1e{limit}", "3/2", "1.5"], "beta": [f"1e-{limit}", 7, 2.5]})
+        assert t.alpha == (Fraction(10**limit), Fraction(3, 2), Fraction(3, 2))
+        assert t.beta == (Fraction(1, 10**limit), Fraction(7), Fraction(5, 2))
+
     def test_no_int_limit_no_digit_check(self):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            assert table_from_json({"alpha": ["1" + "0" * 5000], "beta": ["0"]}).alpha == (Fraction(10**5000),)
+            t = table_from_json({"alpha": ["1" + "0" * 5000], "beta": ["1e5000"]})
+            assert t.alpha == t.beta == (Fraction(10**5000),)
         finally:
             sys.set_int_max_str_digits(limit)
 

@@ -543,6 +543,17 @@ def test_long_rational_string_in_table_is_data_error(capsys, tmp_path):
     assert captured.err == f"invalid input: {path}: bad rational in table: an integer has more than {limit} digits\n"
 
 
+def test_long_exponent_in_table_is_data_error(capsys, tmp_path):
+    # a 10-digit exponent would make Fraction build a 10-million-digit int
+    path = tmp_path / "t.json"
+    path.write_text('{"alpha": ["1"], "beta": ["1e10000000"]}')
+    assert main(["bounds", "--k", "3", "--table", str(path)]) == 2
+    captured = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {path}: bad rational in table: an exponent exceeds {limit}\n"
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -227,8 +227,8 @@ def test_drawing_validates_like_the_per_edge_reference(case):
 
 
 def reference_from_json(data) -> Drawing:
-    """drawing_from_json as it ran before it handed the edges to Drawing
-    first: every edge's shape checked, then the drawing built."""
+    """drawing_from_json written out apart from core's helpers: every
+    edge's shape checked, then the drawing built."""
     if not isinstance(data, dict):
         raise ValueError("drawing JSON must be an object")
     for key in ("p", "q", "edges"):

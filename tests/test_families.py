@@ -176,7 +176,7 @@ class TestSpecialS:
     def test_unique_14_edge_drawing_on_4x4(self):
         # regeneration check: scanning every 14-edge subset of the 4x4
         # grid, exactly one drawing keeps all edges within 5 crossings,
-        # and it is the frozen constant
+        # and it is special_s()
         cells = [(i, x) for i in range(1, 5) for x in range(1, 5)]
         feasible = []
         for drop in combinations(cells, 2):
@@ -238,8 +238,8 @@ class TestFamilySpec:
 
 def test_family_edges_digest():
     # every edge set, not only counts and caps: sha256 over 1,822
-    # generator calls, pinned on the edge loops the shape builders
-    # replaced
+    # generator calls, measured on the per-family edge loops before
+    # _brick_chain and _offset_band replaced them
     h = hashlib.sha256()
     calls = 0
 
