@@ -363,7 +363,7 @@ def _cmd_crossing_bound(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     d = _load(args.drawing)
     with _outputs(args.out) as (out,):
-        _write_or_print(exp._FORMATS[args.format](d), out)
+        _write_or_print(getattr(exp, f"to_{args.format}")(d), out)
     return 0
 
 

@@ -10,6 +10,11 @@ from .core import Drawing, crossing_profile
 
 __all__ = ["to_dot", "to_svg", "to_csv", "EXPORT_FORMATS"]
 
+# the one list of formats, each written by the to_<format> below; the CLI
+# takes its --format choices from it and looks the writer up by name at
+# call time, so a wrapped or patched writer is the one that runs
+EXPORT_FORMATS = ("dot", "svg", "csv")
+
 _UNIT = 48  # SVG pixels between neighbouring vertices of a layer
 
 
@@ -58,8 +63,3 @@ def to_csv(d: Drawing) -> str:
     for i, x in d.sorted_edges():
         lines.append(f"{i},{x}")
     return "\n".join(lines) + "\n"
-
-
-# the one table of formats: the CLI's --format choices and its dispatch
-_FORMATS = {"dot": to_dot, "svg": to_svg, "csv": to_csv}
-EXPORT_FORMATS = tuple(_FORMATS)

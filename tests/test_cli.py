@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerlens import cli, core
+from layerlens import export as exp
 from layerlens import reproduce as rep
 from layerlens.cli import analyze_drawing, main
 from layerlens.core import Drawing, brick_decomposition, drawing_from_json, drawing_to_json, save_drawing
@@ -486,6 +487,18 @@ class TestExport:
     def test_dot_ranks(self):
         dot = to_dot(Drawing(2, 1, frozenset([(1, 1)])))
         assert "rank=same" in dot
+
+    @pytest.mark.parametrize("fmt", exp.EXPORT_FORMATS)
+    def test_each_format_runs_its_writer_as_found_at_call_time(self, fmt, k23_file, capsys, monkeypatch):
+        # the writer is looked up on the module when the command runs, so
+        # a wrapper put in its place (as a profiler's) sees the call
+        calls = []
+        writer = getattr(exp, f"to_{fmt}")
+        monkeypatch.setattr(exp, f"to_{fmt}", lambda d: calls.append(d) or writer(d))
+        assert main(["export", k23_file, "--format", fmt]) == 0
+        assert calls == [opt2planar(1)]
+        text = writer(opt2planar(1))
+        assert capsys.readouterr().out == (text if text.endswith("\n") else text + "\n")
 
     def test_unknown_format_is_usage_error(self, k23_file, capsys):
         assert main(["export", k23_file, "--format", "png"]) == 1
