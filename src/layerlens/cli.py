@@ -210,10 +210,8 @@ def _load_table(path: str | None) -> bnd.CoefficientTable:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        spec = fam.FamilySpec(family=args.family, size=args.size, k=args.k)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    # a bad spec raises ValueError, which main prints as a usage error
+    spec = fam.FamilySpec(family=args.family, size=args.size, k=args.k)
     with _outputs(args.out) as (out,):
         _dump_json(drawing_to_json(fam.generate(spec)), out)
     return 0

@@ -63,21 +63,6 @@ class _BoundedRepr(reprlib.Repr):
 _short = _BoundedRepr().repr
 
 
-def _pairs_in_grid(edges: list[tuple] | frozenset, p: int, q: int) -> bool:
-    """True when every edge is an exact tuple of two exact ints inside the
-    p x q grid.  False says only that some edge needs the per-edge check:
-    it may be bad, or hold a bool, an int subclass or a tuple subclass,
-    which that check tells apart.  Exact type tests keep this loop to a
-    few operations per edge."""
-    for e in edges:
-        if type(e) is not tuple or len(e) != 2:
-            return False
-        i, x = e
-        if type(i) is not int or type(x) is not int or not (0 < i <= p and 0 < x <= q):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class Drawing:
     """A two-layer drawing: top vertices u_1..u_p, bottom vertices
@@ -87,10 +72,9 @@ class Drawing:
     reproduces.  Isolated vertices are allowed; duplicate edges are not.
 
     ``edges`` may be any iterable of pairs; it is stored as a frozenset.
-    Construction first runs one pass of exact type and range tests over
-    all edges (``_pairs_in_grid``).  Only when that pass does not accept
-    them does a per-edge loop run: it accepts int subclasses other than
-    bool and raises on the first bad edge in input order, shown by
+    Construction checks the edges in one loop, in input order: each must
+    have two coordinates, each an int or an int subclass other than bool,
+    inside the p x q grid.  The first bad edge raises, shown by
     ``_short``, so the message stays short whatever the edge or layer
     size.  The lexicographic edge order is computed on the first call of
     :meth:`sorted_edges` and kept on the instance; it is not a field, so
@@ -110,13 +94,17 @@ class Drawing:
         edges = self.edges
         if not isinstance(edges, frozenset):
             edges = list(map(tuple, edges))
-        if not _pairs_in_grid(edges, p, q):
-            for e in edges:
-                if len(e) != 2 or not (_is_int(e[0]) and _is_int(e[1])):
-                    raise ValueError(f"edge {_short(e)} is not a pair of integers")
-                i, x = e
-                if not (1 <= i <= p and 1 <= x <= q):
-                    raise ValueError(f"edge {_short(e)} lies outside the {_short(p)}x{_short(q)} grid")
+        for e in edges:
+            if len(e) != 2:
+                raise ValueError(f"edge {_short(e)} is not a pair of integers")
+            # indexed, not unpacked: a two-element set must raise TypeError,
+            # not give its items in hash order.  The exact-type test spares
+            # the common case a call.
+            i, x = e[0], e[1]
+            if not ((type(i) is int or _is_int(i)) and (type(x) is int or _is_int(x))):
+                raise ValueError(f"edge {_short(e)} is not a pair of integers")
+            if not (0 < i <= p and 0 < x <= q):
+                raise ValueError(f"edge {_short(e)} lies outside the {_short(p)}x{_short(q)} grid")
         if not isinstance(self.edges, frozenset):
             frozen = frozenset(edges)
             if len(frozen) != len(edges):
@@ -249,8 +237,6 @@ def is_k_planar(d: Drawing, k: int) -> bool:
     a bool, a float or None is not a k."""
     if not _is_int(k) or k < 0:
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    if d.m == 0:
-        return True
     return crossing_profile(d).max_per_edge <= k
 
 

@@ -72,6 +72,11 @@ class TestGen:
 
     def test_gen_bad_size_is_usage_error(self, capsys):
         assert main(["gen", "--family", "planar5", "--size", "1"]) == 1
+        assert capsys.readouterr().err == "usage error: planar5 needs size >= 2, got 1\n"
+
+    def test_gen_general_k_without_k_is_usage_error(self, capsys):
+        assert main(["gen", "--family", "general_k"]) == 1
+        assert capsys.readouterr().err == "usage error: general_k requires k >= 2\n"
 
 
 class TestAnalyze:

@@ -8,6 +8,7 @@ import random
 import re
 import reprlib
 import tracemalloc
+from collections import namedtuple
 from enum import IntEnum
 
 import pytest
@@ -138,9 +139,13 @@ class Index(IntEnum):
     THREE = 3
 
 
+Pair = namedtuple("Pair", "i x")
+
+
 def reference_edges(p: int, q: int, edges) -> frozenset:
-    """Drawing's edge validation one edge at a time, as it ran before the
-    fast path: the frozenset a drawing stores, or the error it raises."""
+    """Drawing's edge validation written out apart from core's helpers, one
+    edge at a time: the frozenset a drawing stores, or the error it
+    raises."""
     if not isinstance(edges, frozenset):
         edges = [tuple(e) for e in edges]
     def is_int(c) -> bool:
@@ -216,6 +221,10 @@ def edge_inputs(draw):
 @example((2, 3, [(1, 1), (3, 1), (1, 1)]))
 @example((2, 3, frozenset([frozenset([1, 2])])))
 @example((2, 3, [[1, 2], [2, 3, 1]]))
+@example((2, 3, frozenset([Pair(1, 2), (2, 3)])))
+@example((2, 3, frozenset([(Index.THREE, 1)])))
+@example((2, 3, [(True, 9)]))
+@example((2, 3, [(1,)]))
 @settings(max_examples=400, deadline=None)
 def test_drawing_validates_like_the_per_edge_reference(case):
     p, q, edges = case
