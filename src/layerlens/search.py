@@ -55,8 +55,13 @@ layer and, for each, places the other layer left to right in a
 depth-first branch and bound: a placed vertex's edges have final
 crossing counts, and two arrays over the top positions keep the counts
 of the unplaced edges, so a placement costs O(p) and a branch is cut as
-soon as a final or partial count reaches the incumbent.  It is still
-exponential and holds for ten vertices at most.
+soon as a final or partial count reaches the incumbent.  Both layers are
+ordered only up to twins, vertices of one layer with the same
+neighbours: swapping two twins maps a drawing to one with the same
+multiset of per-edge crossing counts, so fixing their relative order
+loses no optimum; each layer of K_{5,5} is one twin class, and it takes
+5 nodes.  It is still exponential and holds for ten vertices with edges
+at most.
 """
 
 from __future__ import annotations
@@ -427,12 +432,22 @@ def minimax_k(d: Drawing) -> int:
     """Minimum over all re-orderings of both layers of ``d`` of the maximum
     per-edge crossing count; the order ``d`` is drawn in does not matter.
 
-    Isolated vertices cross nothing and are dropped, and the layers are
-    swapped if that makes the top one the smaller: swapping maps crossings
-    to crossings.  The outer loop scans the top orders, one of each (order,
-    reversed order) pair, since the 180 degree rotation reverses both
+    Isolated vertices cross nothing and are dropped, before the limit of
+    ``MINIMAX_MAX_VERTICES`` is applied to the vertices that have edges,
+    and the layers are swapped if that makes the top one the smaller:
+    swapping maps crossings to crossings.
+
+    Twins, vertices of one layer with the same neighbours, are
+    interchangeable: swapping two of them maps a drawing to one with the
+    same multiset of per-edge crossing counts, so some optimum has every
+    set of twins in index order, and only such orders are searched.  The
+    top vertices are labelled by twin class, each bottom vertex's
+    neighbours are a union of classes, and the outer loop scans the
+    distinct arrangements of the labels, one of each (arrangement,
+    reversed arrangement) pair, since the 180 degree rotation reverses both
     layers and preserves the objective.  For each top order a depth-first
-    branch and bound places the bottom vertices left to right.  Every
+    branch and bound places the bottom vertices left to right, a bottom
+    vertex only once its earlier twins are placed.  Every
     bottom vertex placed after v sits to its right, so once v is placed the
     crossings of its edges are final: (u, v) crosses an edge (u', w) placed
     earlier when u' is right of u, and one placed later when u' is left of
@@ -449,26 +464,49 @@ def minimax_k(d: Drawing) -> int:
 def _minimax(d: Drawing) -> tuple[int, int]:
     """``minimax_k(d)`` and the number of nodes of its search, one per
     call of ``place``, summed over the top orders scanned."""
-    _check_minimax_size(d.p, d.q)
-    if len({u for u, _ in d.edges}) > len({v for _, v in d.edges}):
-        d = d.transpose()
     tops = sorted({u for u, _ in d.edges})
-    index = {u: i for i, u in enumerate(tops)}
-    neighbours: dict[int, list[int]] = {}
-    for u, v in d.edges:
-        neighbours.setdefault(v, []).append(index[u])
+    bottoms = {v for _, v in d.edges}
+    _check_minimax_size(len(tops), len(bottoms))
+    if len(tops) > len(bottoms):
+        d = d.transpose()
+        tops = sorted(bottoms)
     p = len(tops)
     if p < 2:
         return 0, 0  # a star draws without crossings
-    degree = [len(nbrs) for nbrs in neighbours.values()]
-    cols: list[list[int]] = []  # per bottom vertex: 1 at the top positions of its edges
+    index = {u: i for i, u in enumerate(tops)}
+    up: list[set[int]] = [set() for _ in tops]
+    down: dict[int, set[int]] = {}
+    for u, v in d.edges:
+        up[index[u]].add(v)
+        down.setdefault(v, set()).add(index[u])
+    # top twins share a label, numbered in order of first member, so
+    # twin-free tops are labelled by their indices
+    classes: dict[frozenset[int], int] = {}
+    labels = [classes.setdefault(frozenset(vs), len(classes)) for vs in up]
+    class_degree = [len(vs) for vs in classes]
+    # bottom twins are placed in index order: a bottom vertex is ready once
+    # its earlier twins are placed, and placing v readies bit successor[v]
+    rows = [[0] * len(classes) for _ in down]  # per bottom vertex: 1 at the labels of its neighbours
+    degree = [len(vs) for vs in down.values()]
+    successor = [0] * len(down)
+    last: dict[frozenset[int], int] = {}  # the latest bottom vertex of each neighbourhood
+    first = 0  # the bottom vertices with no earlier twin
+    for v, vs in enumerate(down.values()):
+        for i in vs:
+            rows[v][labels[i]] = 1
+        key = frozenset(vs)
+        if key in last:
+            successor[last[key]] = 1 << v
+        else:
+            first |= 1 << v
+        last[key] = v
     best = d.m  # no edge crosses more than m - 1 others
     nodes = 0
 
-    def place(left: int, acc: list[int], rem: list[int], worst: int) -> None:
+    def place(left: int, ready: int, acc: list[int], rem: list[int], worst: int) -> None:
         nonlocal best, nodes
         nodes += 1
-        todo = left
+        todo = ready
         while todo and worst < best:  # a leaf found below may have brought best down to worst
             low = todo & -todo
             todo ^= low
@@ -493,21 +531,14 @@ def _minimax(d: Drawing) -> tuple[int, int]:
                 if left == low:
                     best = w
                 else:
-                    place(left ^ low, grown, rest, w)
+                    place(left ^ low, ready ^ low | successor[v], grown, rest, w)
 
-    pos = [0] * p
-    for pu in permutations(range(p)):
-        if pu > pu[::-1]:
+    # sorted labels give their distinct arrangements in lexicographic order
+    for order in dict.fromkeys(permutations(sorted(labels))):
+        if order > order[::-1]:
             continue
-        for idx, u in enumerate(pu):
-            pos[u] = idx
-        cols.clear()
-        for nbrs in neighbours.values():
-            col = [0] * p
-            for u in nbrs:
-                col[pos[u]] = 1
-            cols.append(col)
-        place((1 << len(cols)) - 1, [0] * p, [sum(c) for c in zip(*cols)], 0)
+        cols = [[row[c] for c in order] for row in rows]  # per bottom vertex: 1 at the top positions of its edges
+        place((1 << len(cols)) - 1, first, [0] * p, [class_degree[c] for c in order], 0)
     return best, nodes
 
 

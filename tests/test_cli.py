@@ -303,6 +303,20 @@ class TestMinimaxCommand:
         path.write_text(json.dumps({"p": 6, "q": 6, "edges": edges}))
         assert main(["minimax", str(path)]) == 2
 
+    def test_isolated_vertices_do_not_count_toward_the_limit(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"p": 2, "q": 1_000_000, "edges": [[1, 1], [2, 2]]}))
+        assert main(["minimax", str(path)]) == 0
+        assert capsys.readouterr().out == f"minimax per-edge crossings of {path}: 0\n"
+
+    def test_eleven_vertices_with_edges_is_data_error(self, tmp_path, capsys):
+        # a path on 11 vertices in a 20 x 20 grid
+        path = tmp_path / "path.json"
+        edges = [[i, i] for i in range(1, 6)] + [[i + 1, i] for i in range(1, 6)]
+        path.write_text(json.dumps({"p": 20, "q": 20, "edges": edges}))
+        assert main(["minimax", str(path)]) == 2
+        assert capsys.readouterr().err == "invalid input: minimax search is factorial; at most 10 vertices supported\n"
+
     def test_missing_input_is_usage_error(self, capsys):
         assert main(["minimax"]) == 1
 

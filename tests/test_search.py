@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerlens import search
-from layerlens.core import Drawing, is_h_quasiplanar, is_k_planar
+from layerlens.core import Drawing, crossing_profile, is_h_quasiplanar, is_k_planar
 from layerlens.families import general_k_family, opt2planar, planar3_family, planar4_family
 from layerlens.oracles import (
     brute_force_minimax,
@@ -719,25 +719,39 @@ class TestMinimax:
         assert minimax_k(complete_bipartite(b, a)) == want
 
     # Value and search nodes (calls of the placement step).  The rotation
-    # dedupe, the partial-count prune and the layer swap only save work, so
-    # only these counts see them: without the swap, the 8 + 2 drawing scans
-    # 20,160 top orders instead of one.
+    # dedupe, the partial-count prune, the layer swap and the twin
+    # reduction only save work, so only these counts see them: without the
+    # swap, the 8 + 2 drawing scans 20,160 top orders instead of one, and
+    # without the twin reduction K_{5,5} takes 64 nodes, K_{4,6} 17,
+    # K_{3,7} 9, the 8 + 2 drawing 38 and the dense 5 + 5 ones 77, 353, 79
+    # and 250.
     @pytest.mark.parametrize(
         "d,value,nodes",
         [
-            (complete_bipartite(5, 5), 16, 64),
-            (complete_bipartite(4, 6), 15, 17),
-            (complete_bipartite(6, 4), 15, 17),
-            (complete_bipartite(3, 7), 12, 9),
-            (complete_bipartite(7, 3), 12, 9),
+            (complete_bipartite(5, 5), 16, 5),
+            (complete_bipartite(4, 6), 15, 6),
+            (complete_bipartite(6, 4), 15, 6),
+            (complete_bipartite(3, 7), 12, 7),
+            (complete_bipartite(7, 3), 12, 7),
             (complete_bipartite(2, 8), 7, 8),
             (complete_bipartite(8, 2), 7, 8),
-            (random_drawing(8, 2, 10, 0), 1, 38),
+            (random_drawing(8, 2, 10, 0), 1, 26),
+            (random_drawing(5, 5, 20, 0), 9, 41),
+            (random_drawing(5, 5, 20, 1), 11, 38),
+            (random_drawing(5, 5, 20, 2), 9, 46),
+            (random_drawing(5, 5, 20, 3), 9, 52),
         ],
-        ids=["K5,5", "K4,6", "K6,4", "K3,7", "K7,3", "K2,8", "K8,2", "random-8+2"],
+        ids=["K5,5", "K4,6", "K6,4", "K3,7", "K7,3", "K2,8", "K8,2", "random-8+2"]
+        + [f"random-5+5-m20-s{s}" for s in range(4)],
     )
     def test_pinned_node_counts(self, d, value, nodes):
         assert _minimax(d) == (value, nodes)
+
+    def test_isolated_vertices_do_not_count_toward_the_limit(self):
+        assert _minimax(Drawing(2, 1_000_000, frozenset([(1, 1), (2, 2)]))) == (0, 2)
+        assert minimax_k(Drawing(20, 20, complete_bipartite(5, 5).edges)) == 16
+        with pytest.raises(ValueError, match="at most 10 vertices"):
+            minimax_k(Drawing(20, 20, frozenset((i, i) for i in range(1, 7))))
 
     def test_zero_iff_caterpillar_forest(self):
         # independent characterization: crossing-free two-layer drawings
@@ -757,6 +771,45 @@ class TestMinimax:
         m = data.draw(st.integers(0, p * q))
         d = random_drawing(p, q, m, data.draw(st.integers(0, 2**32 - 1)))
         assert minimax_k(d) == brute_force_minimax(d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_on_drawings_with_twins(self, data):
+        # copy the neighbours of random vertices onto fresh ones, so both
+        # layers may hold twins, then shuffle both layers
+        p = data.draw(st.integers(1, 6))
+        q = data.draw(st.integers(1, 7 - p))
+        m = data.draw(st.integers(0, p * q))
+        edges = set(random_drawing(p, q, m, data.draw(st.integers(0, 2**32 - 1))).edges)
+        for _ in range(data.draw(st.integers(1, 8 - p - q))):
+            if data.draw(st.booleans()):
+                u = data.draw(st.integers(1, p))
+                p += 1
+                edges |= {(p, x) for i, x in edges if i == u}
+            else:
+                v = data.draw(st.integers(1, q))
+                q += 1
+                edges |= {(i, q) for i, x in edges if x == v}
+        pu = data.draw(st.permutations(range(1, p + 1)))
+        pv = data.draw(st.permutations(range(1, q + 1)))
+        d = Drawing(p, q, frozenset((pu[u - 1], pv[v - 1]) for u, v in edges))
+        assert minimax_k(d) == brute_force_minimax(d), d
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_at_most_the_drawn_order(self, data):
+        p = data.draw(st.integers(1, 9))
+        q = data.draw(st.integers(1, 10 - p))
+        m = data.draw(st.integers(0, p * q))
+        d = random_drawing(p, q, m, data.draw(st.integers(0, 2**32 - 1)))
+        assert minimax_k(d) <= crossing_profile(d).max_per_edge
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_max_density_witnesses_are_in_the_class(self, n):
+        # a k-planar witness is a 2-layer k-planar graph, so some
+        # re-ordering of it has no edge crossed more than k times
+        for k in range(9):
+            assert minimax_k(_max_density(n, KPlanar(k)).witness) <= k, (n, k)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
