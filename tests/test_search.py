@@ -338,6 +338,21 @@ class TestMaxDensity:
         digest = "860d75d8b9d6ad99dc265810c944f3ecc1330c8e6a97ea4544290b934b6cf27c"
         assert hashlib.sha256(repr(sweep).encode()).hexdigest() == digest
 
+    def test_sweep_results_digest(self):
+        # sha256 of repr([(best_m, witness p, witness edges, [(bound nodes,
+        # solves) of each split]) for n = 2..14, k = 0..10]), measured at
+        # commit 4607c6a.  It leaves out the main DFS's nodes, so a change
+        # that only prunes more keeps it: the results, and the suffix solves,
+        # which do not depend on the incumbent.
+        sweep = []
+        for n in range(2, 15):
+            for k in range(11):
+                r = _max_density(n, KPlanar(k))
+                splits = [(s.bound_nodes, s.solves) for s in r.stats.splits]
+                sweep.append((r.best_m, r.witness.p, r.witness.sorted_edges(), splits))
+        digest = "3211bda0cb9679e0271fa27f1b2cf2d1097c78435ef320418d8183c8bded87c9"
+        assert hashlib.sha256(repr(sweep).encode()).hexdigest() == digest
+
     def test_split_stats(self):
         r = _max_density(11, KPlanar(8))
         assert [(s.p, s.q) for s in r.stats.splits] == [(p, 11 - p) for p in range(1, 6)]
