@@ -111,8 +111,11 @@ def default_table() -> CoefficientTable:
 
 def small_k_density_bound(k: int, n: int, table: CoefficientTable | None = None) -> Fraction:
     """The table-row bound alpha_k * n - beta_k for caps below the table
-    size.  The 14-edge exceptional drawing on 8 vertices exceeds the k=5
-    row; every other known case is tight."""
+    size.  Against the exact search for n <= 14 its floor is not always
+    attained or kept: the 14-edge exceptional drawing on 8 vertices
+    exceeds the k=5 row by one, one edge exceeds the rows k=3 and k=5 at
+    n=2, where they give 0, and the k=4 row, 2n - 3, is attained only at
+    n = 2 (mod 4), the other n giving 2n - 4."""
     table = table or default_table()
     if not 0 <= k < table.t:
         raise ValueError(f"k must be within the table rows 0..{table.t - 1}")

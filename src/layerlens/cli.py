@@ -38,6 +38,7 @@ from .search import (
     MAX_DENSITY_N,
     KPlanar,
     Quasiplanar,
+    SearchResult,
     _check_density_size,
     _check_minimax_size,
     _quasiplanar_optimum,
@@ -227,7 +228,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _formula_note(kind: str, param: int, n: int, best: int) -> str:
+def _formula_note(kind: str, param: int, n: int, result: SearchResult) -> str:
+    """How ``result.best_m`` compares with the table bound; only the special
+    S, the witness at n = 8, k = 5, is called an exceptional graph."""
+    best = result.best_m
     if kind == "k" and param <= 5:
         formula = bnd.small_k_density_bound(param, n)
     elif kind == "h":
@@ -240,7 +244,8 @@ def _formula_note(kind: str, param: int, n: int, best: int) -> str:
         return f"matches the table bound floor({formula}) = {cap}"
     if best < cap:
         return f"below the table bound floor({formula}) = {cap} (bound not attained at this n)"
-    return f"exceeds the table bound floor({formula}) = {cap} (exceptional graph)"
+    why = "exceptional graph" if result.witness == fam.special_s() else "the table row does not hold at this n"
+    return f"exceeds the table bound floor({formula}) = {cap} ({why})"
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -258,7 +263,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise _UsageError(f"--witness and --csv name the same file: {args.csv}")
     with _outputs(args.witness, args.csv) as (witness, csv):
         result = max_density(args.n, constraint)
-        note = _formula_note(kind, param, args.n, result.best_m)
+        note = _formula_note(kind, param, args.n, result)
         print(f"n={args.n} {constraint.label}: best_m={result.best_m} ({note})")
         print(f"nodes={result.stats.nodes} millis={result.stats.millis:.1f} threads={threads}")
         print("witness: first optimum in deterministic scan order")

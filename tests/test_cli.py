@@ -250,6 +250,18 @@ class TestSearchCommand:
         assert "best_m=14" in out
         assert "exceeds" in out
 
+    @pytest.mark.parametrize(
+        "n,k,first",
+        [
+            (8, 5, "n=8 k-planar(k=5): best_m=14 (exceeds the table bound floor(27/2) = 13 (exceptional graph))"),
+            # one edge exceeds the row's 0, and it is not the special S
+            (2, 3, "n=2 k-planar(k=3): best_m=1 (exceeds the table bound floor(0) = 0 (the table row does not hold at this n))"),
+        ],
+    )
+    def test_excess_note_names_only_the_special_s(self, n, k, first, capsys):
+        assert main(["search", "--n", str(n), "--k", str(k)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == first
+
     def test_csv_and_witness(self, tmp_path, capsys):
         csv = tmp_path / "row.csv"
         wit = tmp_path / "w.json"

@@ -235,36 +235,40 @@ class TestMaxDensity:
     # (nodes - bound_nodes).  Extending the last suffix witness and stopping
     # a solve one above its incumbent fill the same bound table, so the
     # main DFS keeps the counts it had when every suffix was solved in
-    # full.  Quasiplanar splits are searched by the reference route, on the
-    # transposed grid, one row per vertex of the larger layer.
+    # full.  Every k-planar main DFS starts one below the largest floor of
+    # the splits, so a split whose floor is the optimum, such as p = 1 at
+    # k = 0, keeps its count, and the others fall, the p = 1 root alone
+    # often being pruned.  Quasiplanar splits are searched by the reference
+    # route, on the transposed grid, one row per vertex of the larger layer,
+    # from an incumbent of 0.
     NODE_COUNTS = [
         (6, KPlanar(0), 37, 8, (6, 14, 9)),
-        (6, KPlanar(2), 34, 0, (6, 15, 13)),
-        (6, KPlanar(5), 32, 0, (6, 12, 14)),
+        (6, KPlanar(2), 29, 0, (1, 15, 13)),
+        (6, KPlanar(5), 16, 0, (1, 1, 14)),
         (6, Quasiplanar(2), 33, 14, (6, 4, 9)),
         (6, Quasiplanar(3), 28, 0, (6, 12, 10)),
         (6, Quasiplanar(4), 32, 0, (6, 12, 14)),
         (8, KPlanar(0), 191, 65, (8, 40, 51, 27)),
-        (8, KPlanar(2), 142, 32, (8, 45, 45, 12)),
-        (8, KPlanar(5), 84, 3, (8, 18, 31, 24)),
+        (8, KPlanar(2), 124, 32, (1, 34, 45, 12)),
+        (8, KPlanar(5), 77, 3, (1, 18, 31, 24)),
         (8, Quasiplanar(2), 125, 77, (8, 4, 9, 27)),
         (8, Quasiplanar(3), 137, 40, (8, 18, 10, 61)),
         (8, Quasiplanar(4), 67, 0, (8, 18, 23, 18)),
         (10, KPlanar(0), 1149, 412, (10, 108, 231, 216, 172)),
-        (10, KPlanar(2), 658, 222, (10, 121, 106, 117, 82)),
-        (10, KPlanar(5), 613, 165, (10, 56, 132, 199, 51)),
+        (10, KPlanar(2), 521, 222, (1, 34, 65, 117, 82)),
+        (10, KPlanar(5), 491, 165, (1, 1, 74, 199, 51)),
         (10, Quasiplanar(2), 589, 357, (10, 4, 9, 37, 172)),
         (10, Quasiplanar(3), 2216, 725, (10, 24, 10, 207, 1240)),
         (10, Quasiplanar(4), 889, 140, (10, 24, 32, 36, 647)),
-        (11, KPlanar(8), 786, 113, (11, 27, 171, 216, 248)),
+        (11, KPlanar(8), 604, 113, (1, 1, 66, 175, 248)),
         (11, Quasiplanar(3), 5843, 2524, (11, 27, 10, 336, 2935)),
-        (12, KPlanar(2), 3827, 619, (12, 314, 283, 517, 862, 1220)),
-        (12, KPlanar(5), 2008, 390, (12, 235, 276, 653, 230, 212)),
+        (12, KPlanar(2), 3273, 619, (1, 60, 163, 348, 862, 1220)),
+        (12, KPlanar(5), 1316, 390, (1, 1, 108, 374, 230, 212)),
         (12, Quasiplanar(4), 58_775, 10_610, (12, 30, 41, 50, 6774, 41_258)),
-        (13, KPlanar(5), 5108, 724, (13, 427, 406, 1120, 1025, 1393)),
-        (13, KPlanar(8), 3991, 892, (13, 107, 493, 1364, 657, 465)),
-        (14, KPlanar(5), 24_863, 4535, (14, 708, 436, 2121, 3464, 9088, 4497)),
-        (14, KPlanar(8), 14_516, 2745, (14, 325, 588, 2596, 969, 3885, 3394)),
+        (13, KPlanar(5), 3155, 724, (1, 1, 76, 190, 770, 1393)),
+        (13, KPlanar(8), 1966, 892, (1, 1, 76, 130, 401, 465)),
+        (14, KPlanar(5), 22_025, 4535, (1, 1, 100, 378, 3425, 9088, 4497)),
+        (14, KPlanar(8), 10_869, 2745, (1, 1, 46, 162, 635, 3885, 3394)),
     ]
 
     @pytest.mark.parametrize(
@@ -323,19 +327,18 @@ class TestMaxDensity:
 
     def test_sweep_digest(self):
         # sha256 of repr([(best_m, nodes, [(p, nodes, bound nodes, solves) of
-        # each split], witness edges) for n = 2..14, k = 0..10]), 366,141
-        # nodes in all, measured at commit 7e88bca, before the residual-budget
-        # bound became a test that stops at the first row ruling it out, the
-        # suffix check became incremental and the crossing masks were built
-        # from row products.  Rewrites that change the cost of a node, and
-        # not the nodes, keep it.
+        # each split], witness edges) for n = 2..14, k = 0..10]), 296,671
+        # nodes in all, measured with every main DFS starting one below the
+        # largest floor of the splits (366,141 nodes from the incumbent of
+        # the splits before it).  Rewrites that change the cost of a node,
+        # and not the nodes, keep it.
         sweep = []
         for n in range(2, 15):
             for k in range(11):
-                r = max_density(n, KPlanar(k))
+                r = _max_density(n, KPlanar(k))
                 splits = [(s.p, s.nodes, s.bound_nodes, s.solves) for s in r.stats.splits]
                 sweep.append((r.best_m, r.stats.nodes, splits, r.witness.sorted_edges()))
-        digest = "860d75d8b9d6ad99dc265810c944f3ecc1330c8e6a97ea4544290b934b6cf27c"
+        digest = "e71b9e251b90ab334a83ea2c7696ac5464dc284a3fbfa8b5d391d196322697fe"
         assert hashlib.sha256(repr(sweep).encode()).hexdigest() == digest
 
     def test_sweep_results_digest(self):
@@ -361,7 +364,12 @@ class TestMaxDensity:
         # the suffix solves do not depend on the incumbent, so each split
         # spends the same bound nodes from an incumbent of 0
         fresh = [_search_split(s.p, s.q, min(8, (s.p - 1) * (s.q - 1)), 0)[2] for s in r.stats.splits]
-        assert [(s.bound_nodes, s.solves) for s in fresh] == [(s.bound_nodes, s.solves) for s in r.stats.splits]
+        assert [(s.bound_nodes, s.solves, s.floor) for s in fresh] == [
+            (s.bound_nodes, s.solves, s.floor) for s in r.stats.splits
+        ]
+        # every main DFS started one below the largest floor, 22 at p = 4
+        assert [s.floor for s in r.stats.splits] == [10, 18, 18, 22, 21]
+        assert r.best_m == 22
 
     @pytest.mark.parametrize("n,constraint", [(11, KPlanar(8)), (12, KPlanar(5)), (12, KPlanar(2)), (10, Quasiplanar(3))])
     def test_suffix_solves_counted(self, n, constraint):
@@ -375,7 +383,7 @@ class TestMaxDensity:
             assert sum(s.solves for s in splits) > 0
 
     def test_split_stats_constructor_without_solves(self):
-        assert SplitStats(1, 2, 3, 0).solves == 0
+        assert (SplitStats(1, 2, 3, 0).solves, SplitStats(1, 2, 3, 0).floor) == (0, 0)
 
     def test_stats_populated(self):
         r = max_density(6, KPlanar(2))
@@ -500,8 +508,8 @@ def _reference_split(p: int, q: int, step, start_best: int, k: int | None = None
     ``_quasiplanar_include``, for the quasiplanar closed form.  Given k, it
     also prunes by ``_budget_bound``, as the kernel does.  It returns what
     the kernel does, and visits and counts the same nodes; see
-    ``_search_split`` for the bound, the suffix table ``cap`` and the
-    rotation canonicalization.
+    ``_prepare_split`` for the bound, the suffix table ``cap``, the floor
+    and the rotation canonicalization.
 
     ``step(cross)``, given the crossing mask of each cell, returns the
     include step and the empty drawing's state.  The include step
@@ -509,7 +517,8 @@ def _reference_split(p: int, q: int, step, start_best: int, k: int | None = None
     the bitmask of the cells that can no longer be added; the DFS knows the
     constraint only through it.  The constraint must depend on crossings
     alone and be hereditary.  Whether the suffix witness extends by a cell
-    is decided by replaying the include step over it in cell order."""
+    is decided by replaying the include step over it in cell order, both
+    in the suffix loop and when the floor grows it over the first row."""
     cells = search._grid_cells(p, q)
     n_cells = len(cells)
     cross = _pair_cross_masks(cells)
@@ -578,13 +587,16 @@ def _reference_split(p: int, q: int, step, start_best: int, k: int | None = None
         cap[pos] = best
     for pos in range(q):
         cap[pos] = cap[q] + q - pos
+    for pos in range(q - 1, -1, -1):
+        if allowed(wit | 1 << pos):
+            wit |= 1 << pos
     bound_nodes = nodes
     best = start_best
     best_chosen = None
     limit = n_cells + 1
     rec(0, 0, 0, start, True)
     best_cells = None if best_chosen is None else [cells[t] for t in range(n_cells) if best_chosen >> t & 1]
-    return best, best_cells, SplitStats(p, q, nodes, bound_nodes, solves), cap
+    return best, best_cells, SplitStats(p, q, nodes, bound_nodes, solves, wit.bit_count()), cap
 
 
 def _quasiplanar_include(h: int, cross: list[int]):
@@ -652,6 +664,39 @@ def test_kernel_matches_the_reference_dfs(split):
 def test_kernel_matches_the_reference_dfs_on_every_small_grid(p, q):
     for k in range(9):
         assert _search_split(p, q, k, 0) == _reference_split(p, q, partial(_tuple_kplanar_include, k), 0, k), k
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 6) for q in range(p, 11 - p)])
+def test_floor_is_a_k_planar_drawing_below_the_optimum(p, q):
+    # the floor's cells are checked by crossing_profile, not by the
+    # kernel's masks; the reference DFS gives the bound table and the optimum
+    cells = search._grid_cells(p, q)
+    for k in range(9):
+        floor, search_from = search._prepare_split(p, q, k)
+        d = Drawing(p, q, frozenset(cells[t] for t in range(p * q) if floor >> t & 1))
+        assert crossing_profile(d).max_per_edge <= k, k
+        optimum, _, _, cap = _reference_split(p, q, partial(_tuple_kplanar_include, k), 0, k)
+        assert cap[q] + 1 <= d.m <= optimum, k
+        assert search_from(0)[2].floor == d.m, k
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_every_incumbent_below_the_optimum_finds_the_same_cells(n):
+    # an admissible bound never prunes the first optimal leaf while the
+    # incumbent is below it, so a higher start prunes more and finds the
+    # same cells; the suffix solves do not depend on the start
+    for p in range(1, n // 2 + 1):
+        for k in range(9):
+            _, search_from = search._prepare_split(p, n - p, k)
+            want = search_from(0)
+            best, cells, stats, _ = want
+            for start in range(1, best):
+                got, got_cells, got_stats, _ = search_from(start)
+                assert (got, got_cells) == (best, cells), (p, k, start)
+                assert (got_stats.bound_nodes, got_stats.solves) == (stats.bound_nodes, stats.solves)
+                assert got_stats.nodes <= stats.nodes, (p, k, start)
+            assert search_from(best)[:2] == (best, None), (p, k)
+            assert search_from(0) == want, (p, k)  # each search counts its nodes afresh
 
 
 def _kplanar_cells(cross: list[int], mask: int, k: int) -> bool:
