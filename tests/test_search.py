@@ -402,8 +402,11 @@ class TestMaxDensity:
         def fail(*args, **kwargs):
             raise AssertionError("searched")
 
-        monkeypatch.setattr(search, "_search_split", fail)
+        # every split's search, _search_split's too, starts in _prepare_split
+        monkeypatch.setattr(search, "_prepare_split", fail)
         assert max_density(14, Quasiplanar(4)).best_m == 33
+        with pytest.raises(AssertionError, match="searched"):
+            max_density(6, KPlanar(2))
 
 
 def _brute_force_suffix_optima(
