@@ -310,6 +310,15 @@ def _cmd_pathwidth(args: argparse.Namespace) -> int:
     return 0
 
 
+# how the exact search's maxima for n = 2..14 meet the default table's rows
+_ROW_NOTES = {
+    3: "note: for n = 2..14 the floor of this row is the exact maximum, except at n = 2, where one edge exceeds it",
+    4: "note: for n = 2..14 the floor of this row is the exact maximum only at n = 2 (mod 4); every other n has 2n - 4",
+    5: "note: for n = 2..14 the floor of this row is the exact maximum, except at n = 2, where one edge exceeds it,"
+    " and at n = 8, where the 14-edge exceptional drawing does",
+}
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     table = _load_table(args.table)
     k = args.k
@@ -324,8 +333,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             lines.append(f"density upper bound (table row {k}): {coeff_a}*n - {coeff_b} = {coeff_a * args.n - coeff_b}")
         else:
             lines.append(f"density upper bound (table row {k}): {coeff_a}*n - {coeff_b}")
-        if k == 5:
-            lines.append("note: the 8-vertex, 14-edge exceptional drawing exceeds this row; all other sizes are tight")
+        if args.table is None and k in _ROW_NOTES:
+            lines.append(_ROW_NOTES[k])
     else:
         db = bnd.density_upper_bound(args.n if args.n is not None else 4, k, table)
         sqrt_part = f"{db.sqrt_coeff}*sqrt(k)" if db.sqrt_coeff is not None else f"sqrt({db.sqrt_coeff_sq}*k)"

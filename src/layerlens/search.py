@@ -191,22 +191,15 @@ class _SuffixSolved(Exception):
     the most one more cell can add."""
 
 
-def _search_split(p: int, q: int, k: int, start_best: int) -> tuple[int, list[Edge] | None, SplitStats, list[int]]:
-    """Best edge count over subsets of the p x q grid, strictly above
-    ``start_best``, with every edge crossed at most k times; returns (best,
-    cells or None if no improvement, stats, the bound table ``cap``).  It
-    runs both phases of ``_prepare_split``: the suffix solves, then the
-    main DFS from the incumbent ``start_best``."""
-    return _prepare_split(p, q, k)[1](start_best)
-
-
 def _prepare_split(p: int, q: int, k: int) -> tuple[int, Callable[[int], tuple[int, list[Edge] | None, SplitStats, list[int]]]]:
     """The suffix solves of the p x q split under a cap of k crossings per
     edge, done at once, and the main DFS, left to run later: returns
     (``floor``, ``search``).  ``floor`` is the mask of a k-planar drawing
     of the grid, bit t for the cell t in lexicographic order, and
-    ``search(start_best)`` returns what ``_search_split`` does for that
-    incumbent.
+    ``search(start_best)`` runs the main DFS from the incumbent
+    ``start_best``: it returns the best edge count found strictly above
+    ``start_best``, the cells of that drawing (None if none is above),
+    the split's ``SplitStats`` and the bound table ``cap``.
 
     The DFS decides cells in lexicographic order, include branch first.
     Cells that cross nothing are always included: adding them changes no
@@ -239,32 +232,31 @@ def _prepare_split(p: int, q: int, k: int) -> tuple[int, Callable[[int], tuple[i
     rules it out.  ``cap[pos]`` is the most cells of ``pos..N-1`` that are
     k-planar on their own (a Russian-doll bound).  The constraint is
     hereditary, so the later cells of any completion form an allowed drawing
-    by themselves and number at most ``cap[pos]``.  From the second row on,
-    ``cap`` is exact: it is settled last cell first, keeping ``wit``, the
-    mask of an optimal drawing of the suffix ``pos + 1..N-1``.  One more
-    cell adds at most one edge, so ``cap[pos]`` is ``cap[pos + 1]`` or one
-    more.  If ``wit`` and ``pos`` are k-planar together (``extends`` checks
-    the cells ``pos`` crosses), it is one more and ``pos`` joins ``wit``
-    with no search; a cell of the first column crosses no later cell, so it
-    always joins.  Otherwise this same DFS solves the suffix alone, without
+    by themselves and number at most ``cap[pos]``.  One loop, last cell
+    first, settles ``cap`` and ``wit``, the mask of a k-planar drawing of
+    the suffix ``pos + 1..N-1``.  One more cell adds at most one edge, so
+    ``cap[pos]`` starts at ``cap[pos + 1] + 1``.  If ``wit`` and ``pos``
+    are k-planar together (``extends`` checks the cells ``pos`` crosses),
+    ``pos`` joins ``wit`` with no search; a cell of the first column
+    crosses no later cell, so it always joins.  Otherwise, from the second
+    row on, this same DFS solves the suffix alone through ``root``, without
     rotation canonicalization, from the incumbent ``cap[pos + 1]``, and
     stops at the first leaf one above it, whose cells become ``wit``;
-    ``solves`` counts these searches.  On the first row ``cap`` is
-    ``cap[q] + (q - pos)``, because exact solves there cost more nodes than
-    they save.  An admissible bound never prunes the first optimal leaf in
-    DFS order, so the result does not depend on it.
+    ``solves`` counts these searches.  So from the second row on ``cap`` is
+    exact and ``wit`` optimal.  The first row is not solved, because exact
+    solves there cost more nodes than they save: its ``cap`` is
+    ``cap[q] + (q - pos)`` and ``wit`` grows over it greedily, into the
+    floor.  An admissible bound never prunes the first optimal leaf in DFS
+    order, so the result does not depend on it.
 
-    The floor: ``wit``, an optimal drawing of the rows 2..p, is extended
-    greedily over the first-row cells, last cell first, each one joining
-    when ``extends`` allows it.  Cell (1, 1) crosses nothing, so the floor
-    has at least ``cap[q] + 1`` cells, and at most the split's optimum.  The
-    suffix solves do not depend on the incumbent, so ``cap``,
-    ``bound_nodes`` and ``solves`` are the same whatever ``search`` is
-    given, and ``search`` can be called again: each call counts its nodes
-    from ``bound_nodes``.  From any incumbent below the split's optimum it
-    returns the same cells: each node on the path to the first optimal leaf
-    has a bound of at least the optimum, above the incumbent until that
-    leaf is recorded.
+    The floor has at least ``cap[q] + 1`` cells, as cell (1, 1) crosses
+    nothing, and at most the split's optimum.  The suffix solves do not
+    depend on the incumbent, so ``cap``, ``bound_nodes`` and ``solves`` are
+    the same whatever ``search`` is given, and ``search`` can be called
+    again: each call counts its nodes from ``bound_nodes``.  From any
+    incumbent below the split's optimum it returns the same cells: each
+    node on the path to the first optimal leaf has a bound of at least the
+    optimum, above the incumbent until that leaf is recorded.
 
     Rotation canonicalization: the 180 degree rotation maps cell t to cell
     N-1-t and preserves crossings, hence the constraint, so each drawing and
@@ -348,9 +340,11 @@ def _prepare_split(p: int, q: int, k: int) -> tuple[int, Callable[[int], tuple[i
             raise _SuffixSolved
 
     def root(pos: int, eq: bool) -> None:
+        """The one entry into the DFS, for a suffix solve and the main
+        search alike; ``cap[pos] <= N - pos``, so it needs no other test."""
         nonlocal nodes
         nodes += 1
-        if cap[pos] > best and n_cells - pos > best:
+        if cap[pos] > best:
             dfs(pos, 0, 0, 0, ones, eq)
 
     def extends(wit: int, pos: int) -> bool:
@@ -366,26 +360,20 @@ def _prepare_split(p: int, q: int, k: int) -> tuple[int, Callable[[int], tuple[i
             rest ^= low
         return True
 
-    wit = 0  # an optimal drawing of the suffix pos + 1..N-1
+    wit = 0  # a k-planar drawing of the suffix pos + 1..N-1, optimal below the first row
     solves = 0
-    for pos in range(n_cells - 1, q - 1, -1):
-        limit = cap[pos + 1] + 1
-        cap[pos] = limit  # the most it can be; bounds the root of a solve
+    for pos in range(n_cells - 1, -1, -1):
+        cap[pos] = limit = cap[pos + 1] + 1  # the most it can be; bounds the root of a solve
         if extends(wit, pos):
             wit |= 1 << pos
-            continue
-        solves += 1
-        best = limit - 1
-        try:
-            root(pos, False)
-        except _SuffixSolved:
-            wit = best_chosen
-        cap[pos] = best
-    for pos in range(q):
-        cap[pos] = cap[q] + q - pos
-    for pos in range(q - 1, -1, -1):
-        if extends(wit, pos):
-            wit |= 1 << pos
+        elif pos >= q:
+            solves += 1
+            best = limit - 1
+            try:
+                root(pos, False)
+            except _SuffixSolved:
+                wit = best_chosen
+            cap[pos] = best
     bound_nodes = nodes
 
     def search(start_best: int) -> tuple[int, list[Edge] | None, SplitStats, list[int]]:

@@ -24,7 +24,7 @@ from layerlens.core import Drawing, brick_decomposition, drawing_from_json, draw
 from layerlens.decomposition import build_path_decomposition, decomposition_to_json
 from layerlens.export import to_csv, to_dot, to_svg
 from layerlens.families import opt2planar, planar4_family, planar6_family, special_s
-from layerlens.search import MAX_DENSITY_N, KPlanar, max_density, random_drawing
+from layerlens.search import MAX_DENSITY_N, KPlanar, complete_bipartite, max_density, random_drawing
 
 
 @st.composite
@@ -230,6 +230,12 @@ class TestAnalyze:
         assert (r.brick_count, len(r.planar_edges)) == (50, 51)
         assert len(calls) == 1
 
+    def test_text_report_on_the_complete_grid(self, tmp_path, capsys):
+        path = tmp_path / "k66.json"
+        path.write_text(json.dumps(drawing_to_json(complete_bipartite(6, 6))))
+        assert main(["analyze", str(path)]) == 0
+        assert "cubic crossing bound: 1492992/15625 (95.5515) holds\n" in capsys.readouterr().out
+
     def test_report_fields_match_library(self):
         r = analyze_drawing(special_s())
         assert (r.p, r.q, r.n, r.m) == (4, 4, 8, 14)
@@ -259,6 +265,17 @@ class TestSearchCommand:
         ],
     )
     def test_excess_note_names_only_the_special_s(self, n, k, first, capsys):
+        assert main(["search", "--n", str(n), "--k", str(k)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == first
+
+    @pytest.mark.parametrize(
+        "n,k,first",
+        [
+            (8, 4, "n=8 k-planar(k=4): best_m=12 (below the table bound floor(13) = 13 (bound not attained at this n))"),
+            (8, 6, "n=8 k-planar(k=6): best_m=14 (no closed-form bound at this size)"),
+        ],
+    )
+    def test_note_below_and_past_the_table(self, n, k, first, capsys):
         assert main(["search", "--n", str(n), "--k", str(k)]) == 0
         assert capsys.readouterr().out.splitlines()[0] == first
 
@@ -489,12 +506,38 @@ class TestBoundsCommands:
         assert err.startswith("usage error: ")
 
     def test_bounds_text_pinned(self, capsys):
-        # sha256 of the stdout of bounds for k = 0..8, each without and with --n 100
+        # sha256 of the stdout of bounds for k = 0..8, each without and with
+        # --n 100; the notes of rows 3..5 as in test_row_notes
         for k in range(9):
             for extra in ([], ["--n", "100"]):
                 assert main(["bounds", "--k", str(k), *extra]) == 0
         text = capsys.readouterr().out
-        assert hashlib.sha256(text.encode()).hexdigest() == "1b66b0c4c7fd5504ec44a4547804b9050cab9da89157af787be75a8eea41f40e"
+        assert hashlib.sha256(text.encode()).hexdigest() == "f2f1be31319e03a24efd6f45ddf0a7a82fd355522e418851904ebaf527cca0cc"
+
+    ROW_NOTES = {
+        3: "note: for n = 2..14 the floor of this row is the exact maximum, except at n = 2, where one edge exceeds it",
+        4: "note: for n = 2..14 the floor of this row is the exact maximum only at n = 2 (mod 4); every other n has 2n - 4",
+        5: "note: for n = 2..14 the floor of this row is the exact maximum, except at n = 2, where one edge exceeds it,"
+        " and at n = 8, where the 14-edge exceptional drawing does",
+    }
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_row_notes(self, k, capsys):
+        # tests/test_search.py checks the notes against the exact search
+        assert main(["bounds", "--k", str(k)]) == 0
+        notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note: ")]
+        assert notes == ([self.ROW_NOTES[k]] if k in self.ROW_NOTES else [])
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_no_row_note_for_a_given_table(self, k, tmp_path, capsys):
+        # a row 5 of 3n - 1 has no exceptional drawing; the notes describe
+        # the default table alone
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps({"alpha": ["1", "3/2", "5/3", "2", "2", "3"], "beta": ["1", "2", "7/3", "4", "3", "1"]}))
+        assert main(["bounds", "--k", str(k), "--table", str(table)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"density upper bound (table row {k}): ")
+        assert "note" not in out
 
 
 class TestExport:
@@ -538,6 +581,19 @@ class TestExport:
         out = tmp_path / "d.svg"
         assert main(["export", k23_file, "--format", "svg", "--out", str(out)]) == 0
         assert out.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["minimax", "--complete", "0", "3"], "part sizes must be positive"),
+        (["bounds", "--k", "-1"], "k must be non-negative"),
+        (["crossing-bound", "--n", "0", "--m", "1"], "n must be positive and m non-negative"),
+    ],
+)
+def test_out_of_range_argument_is_usage_error(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
 @pytest.mark.parametrize(

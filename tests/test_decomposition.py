@@ -361,6 +361,13 @@ class TestEventRoute:
         pd = build_path_decomposition(opt2planar(3))
         assert pd.bags is pd.bags
 
+    def test_repr_and_equality_with_other_types(self):
+        pd = build_path_decomposition(Drawing(1, 2, frozenset([(1, 1), (1, 2)])))
+        assert repr(pd) == f"PathDecomposition(bags={pd.bags!r}, orientation='top')"
+        # __eq__ returns NotImplemented for a foreign type, so == falls back to identity
+        assert pd.__eq__(pd.bags) is NotImplemented
+        assert pd != pd.bags and not pd == 1
+
     def test_bag_count_makes_no_bag(self):
         d = Drawing(2, 10**6, frozenset([(1, 1), (2, 2)]))
         pd = build_path_decomposition(d)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerlens import search
+from layerlens.bounds import default_table
 from layerlens.core import Drawing, crossing_profile, is_h_quasiplanar, is_k_planar
 from layerlens.families import general_k_family, opt2planar, planar3_family, planar4_family
 from layerlens.oracles import (
@@ -31,7 +32,6 @@ from layerlens.search import (
     SplitStats,
     complete_bipartite,
     _minimax,
-    _search_split,
     max_density,
     minimax_k,
     random_drawing,
@@ -42,12 +42,12 @@ _max_density = cache(max_density)
 
 
 def _split(p: int, q: int, c: Constraint, start_best: int):
-    """``_search_split`` for a k-planar c, and the reference DFS with the
-    quasiplanar include step for a quasiplanar one.  k is not clamped to
-    the grid's crossing cap; a larger k allows the same drawings and only
-    widens the state."""
+    """The kernel, ``_prepare_split(p, q, k)[1](start_best)``, for a
+    k-planar c, and the reference DFS with the quasiplanar include step for
+    a quasiplanar one.  k is not clamped to the grid's crossing cap; a
+    larger k allows the same drawings and only widens the state."""
     if isinstance(c, KPlanar):
-        return _search_split(p, q, c.k, start_best)
+        return search._prepare_split(p, q, c.k)[1](start_best)
     return _reference_split(p, q, partial(_quasiplanar_include, c.h), start_best)
 
 
@@ -319,7 +319,7 @@ class TestMaxDensity:
         # incumbent, which an admissible bound never prunes.  An incumbent
         # of p * q skips each split's main DFS.
         caps = [
-            [_search_split(p, 14 - p, min(k, (p - 1) * (13 - p)), p * (14 - p))[3] for p in range(1, 8)]
+            [search._prepare_split(p, 14 - p, min(k, (p - 1) * (13 - p)))[1](p * (14 - p))[3] for p in range(1, 8)]
             for k in range(10)
         ]
         digest = "0243160c2225362292db532f6cbf9bbb182bf7b9c880e221c69d532345fb4e60"
@@ -356,6 +356,23 @@ class TestMaxDensity:
         digest = "3211bda0cb9679e0271fa27f1b2cf2d1097c78435ef320418d8183c8bded87c9"
         assert hashlib.sha256(repr(sweep).encode()).hexdigest() == digest
 
+    def test_table_rows_against_the_search(self):
+        # the exceptions that the notes of `bounds --k 3..5` name, for n =
+        # 2..14: one edge over the row's 0 at n = 2 for k = 3 and 5, the
+        # special S at n = 8, k = 5, and 2n - 4 under the k = 4 row's 2n - 3
+        # unless n = 2 (mod 4); every other floor is attained.  The
+        # searches are the sweep's, from the shared cache
+        table = default_table()
+        for k in range(table.t):
+            for n in range(2, 15):
+                row = table.alpha[k] * n - table.beta[k]
+                want = row.numerator // row.denominator
+                if (k, n) in ((3, 2), (5, 2), (5, 8)):
+                    want += 1
+                elif k == 4 and n % 4 != 2:
+                    want -= 1
+                assert _max_density(n, KPlanar(k)).best_m == want, (k, n)
+
     def test_split_stats(self):
         r = _max_density(11, KPlanar(8))
         assert [(s.p, s.q) for s in r.stats.splits] == [(p, 11 - p) for p in range(1, 6)]
@@ -363,7 +380,7 @@ class TestMaxDensity:
         assert all(0 <= s.bound_nodes < s.nodes for s in r.stats.splits)
         # the suffix solves do not depend on the incumbent, so each split
         # spends the same bound nodes from an incumbent of 0
-        fresh = [_search_split(s.p, s.q, min(8, (s.p - 1) * (s.q - 1)), 0)[2] for s in r.stats.splits]
+        fresh = [search._prepare_split(s.p, s.q, min(8, (s.p - 1) * (s.q - 1)))[1](0)[2] for s in r.stats.splits]
         assert [(s.bound_nodes, s.solves, s.floor) for s in fresh] == [
             (s.bound_nodes, s.solves, s.floor) for s in r.stats.splits
         ]
@@ -402,7 +419,8 @@ class TestMaxDensity:
         def fail(*args, **kwargs):
             raise AssertionError("searched")
 
-        # every split's search, _search_split's too, starts in _prepare_split
+        # every k-planar search, the suffix solves and the main DFS, starts in
+        # _prepare_split
         monkeypatch.setattr(search, "_prepare_split", fail)
         assert max_density(14, Quasiplanar(4)).best_m == 33
         with pytest.raises(AssertionError, match="searched"):
@@ -488,7 +506,7 @@ def test_cross_masks_match_the_pair_test(p):
 
 
 def _budget_bound(k: int, q: int, cross: list[int], chosen: int, free: int) -> int:
-    """The residual-budget bound of ``_search_split``, written plainly: the
+    """The residual-budget bound of ``_prepare_split``, written plainly: the
     most cells of ``free`` a k-planar completion of ``chosen`` can add,
     the minimum of ``len(free) - a_e + min(a_e, k - c_e)`` over the
     rightmost chosen cell e of each row of q cells, where a_e counts the
@@ -507,12 +525,13 @@ def _budget_bound(k: int, q: int, cross: list[int], chosen: int, free: int) -> i
 
 def _reference_split(p: int, q: int, step, start_best: int, k: int | None = None):
     """The split search with the constraint given as an include step: the
-    reference route for the kernel ``_search_split`` and, with
-    ``_quasiplanar_include``, for the quasiplanar closed form.  Given k, it
-    also prunes by ``_budget_bound``, as the kernel does.  It returns what
-    the kernel does, and visits and counts the same nodes; see
-    ``_prepare_split`` for the bound, the suffix table ``cap``, the floor
-    and the rotation canonicalization.
+    reference route for the kernel, ``_prepare_split(p, q, k)[1](start_best)``,
+    and, with ``_quasiplanar_include``, for the quasiplanar closed form.
+    Given k, it also prunes by ``_budget_bound``, as the kernel does.  It
+    returns what the kernel does, and visits and counts the same nodes,
+    though it builds ``cap`` and the floor in three loops where the kernel
+    uses one; see ``_prepare_split`` for the bound, the suffix table
+    ``cap``, the floor and the rotation canonicalization.
 
     ``step(cross)``, given the crossing mask of each cell, returns the
     include step and the empty drawing's state.  The include step
@@ -660,13 +679,13 @@ def _kplanar_splits(draw):
 def test_kernel_matches_the_reference_dfs(split):
     # best, cells, stats (nodes, bound nodes, solves) and the bound table
     p, q, k, start_best = split
-    assert _search_split(p, q, k, start_best) == _reference_split(p, q, partial(_tuple_kplanar_include, k), start_best, k)
+    assert search._prepare_split(p, q, k)[1](start_best) == _reference_split(p, q, partial(_tuple_kplanar_include, k), start_best, k)
 
 
 @pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 31) for q in range(1, 31) if p * q <= 30])
 def test_kernel_matches_the_reference_dfs_on_every_small_grid(p, q):
     for k in range(9):
-        assert _search_split(p, q, k, 0) == _reference_split(p, q, partial(_tuple_kplanar_include, k), 0, k), k
+        assert search._prepare_split(p, q, k)[1](0) == _reference_split(p, q, partial(_tuple_kplanar_include, k), 0, k), k
 
 
 @pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 6) for q in range(p, 11 - p)])
