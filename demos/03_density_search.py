@@ -2,14 +2,17 @@
 """Exact density search versus the closed-form bounds at desk scale.
 
 The branch and bound proves, for each n, the exact maximum edge count of
-a two-layer drawing under a crossing cap.  On every row but one the
-maximum matches the tight bound; at n=8 with cap 5 the search discovers
-the exceptional graph with 14 > floor(9/4*8 - 9/2) edges on its own.
+a two-layer drawing under a crossing cap.  On every row but two the
+maximum matches the tight bound.  At n=8 with cap 4 it stays below the
+bound, 12 against 13.  At n=8 with cap 5 it exceeds the bound, 14 against
+floor(9/4*8 - 9/2) = 13: the search discovers the exceptional graph, the
+special S, on its own.  An excess is called an exceptional graph only
+when the witness is the special S.
 
 Run: python3 demos/03_density_search.py
 """
 
-from layerlens import KPlanar, Quasiplanar, max_density, small_k_density_bound
+from layerlens import KPlanar, Quasiplanar, max_density, small_k_density_bound, special_s
 
 print(f"{'n':>3} {'constraint':>12} {'best':>5} {'bound':>8}  verdict")
 for k in (1, 2, 3, 4, 5):
@@ -22,7 +25,8 @@ for k in (1, 2, 3, 4, 5):
         elif result.best_m < floor:
             verdict = "below the bound (not attained at this n)"
         else:
-            verdict = "EXCEEDS the bound (exceptional graph)"
+            why = "exceptional graph" if result.witness == special_s() else "the table row does not hold at this n"
+            verdict = f"EXCEEDS the bound ({why})"
         print(f"{n:>3} {'k=' + str(k):>12} {result.best_m:>5} {str(bound):>8}  {verdict}")
 
 print()

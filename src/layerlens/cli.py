@@ -36,6 +36,7 @@ from .core import (
 from .decomposition import _write_decomposition_json, build_path_decomposition, path_width, validate_decomposition
 from .search import (
     MAX_DENSITY_N,
+    Constraint,
     KPlanar,
     Quasiplanar,
     SearchResult,
@@ -228,14 +229,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _formula_note(kind: str, param: int, n: int, result: SearchResult) -> str:
+def _formula_note(constraint: Constraint, n: int, result: SearchResult) -> str:
     """How ``result.best_m`` compares with the table bound; only the special
     S, the witness at n = 8, k = 5, is called an exceptional graph."""
     best = result.best_m
-    if kind == "k" and param <= 5:
-        formula = bnd.small_k_density_bound(param, n)
-    elif kind == "h":
-        p, q = _quasiplanar_optimum(n, param)
+    if isinstance(constraint, KPlanar) and constraint.k <= 5:
+        formula = bnd.small_k_density_bound(constraint.k, n)
+    elif isinstance(constraint, Quasiplanar):
+        p, q = _quasiplanar_optimum(n, constraint.h)
         formula = Fraction(p * q)
     else:
         return "no closed-form bound at this size"
@@ -251,11 +252,9 @@ def _formula_note(kind: str, param: int, n: int, result: SearchResult) -> str:
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.k is not None:
         constraint = KPlanar(args.k)
-        kind, param = "k", args.k
         label = f"k={args.k}"
     else:
         constraint = Quasiplanar(args.quasi)
-        kind, param = "h", args.quasi
         label = f"h={args.quasi}"
     threads = _threads(args)
     _check_density_size(args.n)
@@ -263,7 +262,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise _UsageError(f"--witness and --csv name the same file: {args.csv}")
     with _outputs(args.witness, args.csv) as (witness, csv):
         result = max_density(args.n, constraint)
-        note = _formula_note(kind, param, args.n, result)
+        note = _formula_note(constraint, args.n, result)
         print(f"n={args.n} {constraint.label}: best_m={result.best_m} ({note})")
         print(f"nodes={result.stats.nodes} millis={result.stats.millis:.1f} threads={threads}")
         print("witness: first optimum in deterministic scan order")

@@ -46,6 +46,13 @@ class CheckRow:
     passed: bool
 
 
+def _count_row(criterion: str, case: str, failed: list[str], noun: str, first: bool = True) -> CheckRow:
+    """A row that expects no failing case: ``failed`` lists the labels of
+    those that failed, and the first is named when ``first`` is set."""
+    named = f" (first: {failed[0]})" if first and failed else ""
+    return CheckRow(criterion, case, f"0 {noun}", f"{len(failed)} {noun}{named}", not failed)
+
+
 # (constraint kind, parameter, n, expected maximum edge count)
 DENSITY_TABLE: tuple[tuple[str, int, int, int], ...] = (
     ("k", 1, 6, 7),
@@ -193,29 +200,23 @@ def _family_summaries() -> list[FamilySummary]:
 def check_families(summaries: list[FamilySummary]) -> list[CheckRow]:
     """Criterion 2: closed-form counts and advertised crossing caps for
     all sizes up to 50, with the brute-force profile on small sizes."""
-    count_fail = cap_fail = quasi_fail = 0
-    first_fail = ""
+    failed = []
     for s in summaries:
         if (s.n, s.m) != fam.closed_form(s.spec):
-            count_fail += 1
-            first_fail = first_fail or f"counts: {s.label}"
+            failed.append(f"counts: {s.label}")
         cap = s.max_per_edge if s.brute_max_per_edge is None else s.brute_max_per_edge
         if cap > fam.advertised_k(s.spec):
-            cap_fail += 1
-            first_fail = first_fail or f"cap: {s.label}"
+            failed.append(f"cap: {s.label}")
         if s.spec.family == "planar3" and s.mutually_crossing > 2:
-            quasi_fail += 1
-            first_fail = first_fail or f"quasi: {s.label}"
-    ok = count_fail == cap_fail == quasi_fail == 0
+            failed.append(f"quasi: {s.label}")
     total = len(summaries)
     return [
         CheckRow(
             "2",
             f"families up to size {_FAMILY_MAX_SIZE}: (n, m) closed forms and crossing caps",
             f"{total} instances, 0 failures",
-            f"{total} instances, {count_fail + cap_fail + quasi_fail} failures"
-            + (f" ({first_fail})" if first_fail else ""),
-            ok,
+            f"{total} instances, {len(failed)} failures" + (f" ({failed[0]})" if failed else ""),
+            not failed,
         )
     ]
 
@@ -285,35 +286,24 @@ def check_crossing_bounds(summaries: list[FamilySummary]) -> list[CheckRow]:
         cases.append((f"random[{idx}]", d.n, d.m, total, _linear_miss_special_s(d, total, table)))
 
     cubic_viol = []
-    linear_viol = []
-    linear_s_notes = []
-    for label, n, m, total, special_s in cases:
+    for label, n, m, total, _ in cases:
         cubic = bnd.crossing_lower_bound(n, m, table)
         assert cubic is not None
         if Fraction(total) < cubic:
             cubic_viol.append(label)
-        if special_s:
-            linear_s_notes.append(label)
-        elif special_s is not None:
-            linear_viol.append(label)
-
-    rows = [
-        CheckRow(
-            "5",
-            f"cubic crossing bound on {len(cases)} dense drawings",
-            "0 violations",
-            f"{len(cubic_viol)} violations" + (f" (first: {cubic_viol[0]})" if cubic_viol else ""),
-            not cubic_viol,
-        ),
+    # each linear-bound miss: True inside an exceptional sub-drawing, False a violation
+    misses = [special_s for *_, special_s in cases if special_s is not None]
+    violations = misses.count(False)
+    return [
+        _count_row("5", f"cubic crossing bound on {len(cases)} dense drawings", cubic_viol, "violations"),
         CheckRow(
             "5",
             f"clamped linear crossing bound on {len(cases)} dense drawings",
             "0 violations outside exceptional sub-drawings",
-            f"{len(linear_viol)} violations, {len(linear_s_notes)} exceptional-graph misses reported",
-            not linear_viol,
+            f"{violations} violations, {len(misses) - violations} exceptional-graph misses reported",
+            not violations,
         ),
     ]
-    return rows
 
 
 def check_pathwidth(summaries: list[FamilySummary]) -> list[CheckRow]:
@@ -328,13 +318,7 @@ def check_pathwidth(summaries: list[FamilySummary]) -> list[CheckRow]:
     failed = [label for label, ok in cases if not ok]
     elapsed = time.perf_counter() - t0
     return [
-        CheckRow(
-            "6",
-            f"path decompositions on {len(cases)} drawings (P.1-P.4, width <= k+1)",
-            "0 failures",
-            f"{len(failed)} failures" + (f" (first: {failed[0]})" if failed else ""),
-            not failed,
-        ),
+        _count_row("6", f"path decompositions on {len(cases)} drawings (P.1-P.4, width <= k+1)", failed, "failures"),
         CheckRow("6", "pathwidth runtime", "< 30 s", f"{elapsed:.1f} s", elapsed < 30),
     ]
 
@@ -356,53 +340,26 @@ def check_relationship(summaries: list[FamilySummary]) -> list[CheckRow]:
         cases.append((f"random[{produced}]", k, mutually_crossing_number(d)))
         if produced == _RELATION_SAMPLES:
             break
-    bad = 0
-    first = ""
-    for label, k, mcn in cases:
-        if k < 2:
-            continue
-        h = bnd.quasiplanar_threshold(k)
-        if mcn > h - 1:
-            bad += 1
-            first = first or label
-    return [
-        CheckRow(
-            "7",
-            f"quasiplanarity threshold on {len(cases)} connected drawings",
-            "0 violations",
-            f"{bad} violations" + (f" (first: {first})" if first else ""),
-            bad == 0,
-        )
-    ]
+    bad = [label for label, k, mcn in cases if k >= 2 and mcn > bnd.quasiplanar_threshold(k) - 1]
+    return [_count_row("7", f"quasiplanarity threshold on {len(cases)} connected drawings", bad, "violations")]
 
 
 def check_oracle_equivalence() -> list[CheckRow]:
     """Criterion 8: the fast crossing profile and the subsequence-based
     mutually crossing number agree with the naive oracles."""
-    profile_bad = mcn_bad = 0
+    profile_bad, mcn_bad = [], []
     drawings = _random_drawings(_ORACLE_SEED, 1, 8, lambda p, q: (0, min(20, p * q)))
-    for d in islice(drawings, _ORACLE_SAMPLES):
+    for idx, d in enumerate(islice(drawings, _ORACLE_SAMPLES)):
         fast = crossing_profile(d)
         slow = brute_force_profile(d)
         if fast.per_edge != slow.per_edge or fast.total != slow.total or fast.max_per_edge != slow.max_per_edge:
-            profile_bad += 1
+            profile_bad.append(f"random[{idx}]")
         if mutually_crossing_number(d) != brute_force_mutually_crossing(d):
-            mcn_bad += 1
+            mcn_bad.append(f"random[{idx}]")
+    on = f"on {_ORACLE_SAMPLES} drawings"
     return [
-        CheckRow(
-            "8",
-            f"crossing profile vs pair-loop oracle on {_ORACLE_SAMPLES} drawings",
-            "0 mismatches",
-            f"{profile_bad} mismatches",
-            profile_bad == 0,
-        ),
-        CheckRow(
-            "8",
-            f"mutually crossing number vs clique oracle on {_ORACLE_SAMPLES} drawings",
-            "0 mismatches",
-            f"{mcn_bad} mismatches",
-            mcn_bad == 0,
-        ),
+        _count_row("8", f"crossing profile vs pair-loop oracle {on}", profile_bad, "mismatches", first=False),
+        _count_row("8", f"mutually crossing number vs clique oracle {on}", mcn_bad, "mismatches", first=False),
     ]
 
 
