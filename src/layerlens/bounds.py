@@ -25,6 +25,7 @@ __all__ = [
     "default_table",
     "crossing_lemma_coefficient",
     "crossing_lower_bound",
+    "density_threshold",
     "auxiliary_lower_bound",
     "DensityBound",
     "density_upper_bound",

@@ -15,16 +15,12 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
-from . import bounds as bnd
-from . import export as exp
-from . import families as fam
-from . import reproduce as rep
 from .core import (
     Drawing,
     Edge,
@@ -33,7 +29,6 @@ from .core import (
     load_drawing,
     mutually_crossing_number,
 )
-from .decomposition import _write_decomposition_json, build_path_decomposition, path_width, validate_decomposition
 from .search import (
     MAX_DENSITY_N,
     Constraint,
@@ -47,6 +42,12 @@ from .search import (
     max_density,
     minimax_k,
 )
+
+if TYPE_CHECKING:
+    from .bounds import CoefficientTable
+
+# bounds, decomposition, export, families and reproduce are imported by the
+# functions that use them, so that a command loads only the modules it runs
 
 __all__ = ["main", "entry", "AnalysisReport", "analyze_drawing"]
 
@@ -95,6 +96,9 @@ class AnalysisReport:
 
 
 def analyze_drawing(d: Drawing) -> AnalysisReport:
+    from . import bounds as bnd
+    from .decomposition import path_width
+
     prof = crossing_profile(d)
     mcn = mutually_crossing_number(d)
     planar = tuple(e for e, c in prof.per_edge.items() if c == 0)  # in (i, x) order
@@ -197,7 +201,9 @@ def _threads(args: argparse.Namespace) -> int:
     return args.threads
 
 
-def _load_table(path: str | None) -> bnd.CoefficientTable:
+def _load_table(path: str | None) -> CoefficientTable:
+    from . import bounds as bnd
+
     if path is None:
         return bnd.default_table()
     try:
@@ -212,6 +218,8 @@ def _load_table(path: str | None) -> bnd.CoefficientTable:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from . import families as fam
+
     # a bad spec raises ValueError, which main prints as a usage error
     spec = fam.FamilySpec(family=args.family, size=args.size, k=args.k)
     with _outputs(args.out) as (out,):
@@ -234,7 +242,9 @@ def _formula_note(constraint: Constraint, n: int, result: SearchResult) -> str:
     S, the witness at n = 8, k = 5, is called an exceptional graph."""
     best = result.best_m
     if isinstance(constraint, KPlanar) and constraint.k <= 5:
-        formula = bnd.small_k_density_bound(constraint.k, n)
+        from .bounds import small_k_density_bound
+
+        formula = small_k_density_bound(constraint.k, n)
     elif isinstance(constraint, Quasiplanar):
         p, q = _quasiplanar_optimum(n, constraint.h)
         formula = Fraction(p * q)
@@ -245,7 +255,9 @@ def _formula_note(constraint: Constraint, n: int, result: SearchResult) -> str:
         return f"matches the table bound floor({formula}) = {cap}"
     if best < cap:
         return f"below the table bound floor({formula}) = {cap} (bound not attained at this n)"
-    why = "exceptional graph" if result.witness == fam.special_s() else "the table row does not hold at this n"
+    from .families import special_s
+
+    why = "exceptional graph" if result.witness == special_s() else "the table row does not hold at this n"
     return f"exceeds the table bound floor({formula}) = {cap} ({why})"
 
 
@@ -275,6 +287,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_minimax(args: argparse.Namespace) -> int:
+    if args.complete and args.drawing:
+        raise _UsageError("provide a drawing file or --complete A B, not both")
     if args.complete:
         a, b = args.complete
         if a < 1 or b < 1:
@@ -297,6 +311,8 @@ def _cmd_minimax(args: argparse.Namespace) -> int:
 
 
 def _cmd_pathwidth(args: argparse.Namespace) -> int:
+    from .decomposition import _write_decomposition_json, build_path_decomposition, validate_decomposition
+
     d = _load(args.drawing)
     with _outputs(args.out) as (out,):
         pd = build_path_decomposition(d)
@@ -319,6 +335,8 @@ _ROW_NOTES = {
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from . import bounds as bnd
+
     table = _load_table(args.table)
     k = args.k
     if k < 0:
@@ -354,6 +372,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_crossing_bound(args: argparse.Namespace) -> int:
+    from . import bounds as bnd
+
     table = _load_table(args.table)
     n, m = args.n, args.m
     if n < 1 or m < 0:
@@ -372,6 +392,8 @@ def _cmd_crossing_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from . import export as exp
+
     d = _load(args.drawing)
     with _outputs(args.out) as (out,):
         _write_or_print(getattr(exp, f"to_{args.format}")(d), out)
@@ -379,6 +401,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    from . import reproduce as rep
+
     _threads(args)
     elapsed: dict[str, float] = {}
     with _outputs(args.out) as (out,):
@@ -404,12 +428,40 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Choices:
+    """An option's choices, loaded from their module when argparse first
+    checks or lists them, so that building the parser imports neither
+    ``families`` nor ``export``.  They are set after ``add_argument``,
+    which would list them at once to check the metavar."""
+
+    def __init__(self, load: Callable[[], tuple[str, ...]]) -> None:
+        self._load = load
+
+    def __contains__(self, value: object) -> bool:
+        return value in self._load()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._load())
+
+
+def _family_names() -> tuple[str, ...]:
+    from .families import FAMILY_NAMES
+
+    return FAMILY_NAMES
+
+
+def _export_formats() -> tuple[str, ...]:
+    from .export import EXPORT_FORMATS
+
+    return EXPORT_FORMATS
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="layerlens", description="Two-layer drawing toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen", help="generate a family drawing")
-    p.add_argument("--family", required=True, choices=fam.FAMILY_NAMES)
+    p.add_argument("--family", required=True).choices = _Choices(_family_names)
     p.add_argument("--size", type=int, default=1, help="brick count or layer size")
     p.add_argument("--k", type=int, default=None, help="crossing cap (general_k only)")
     p.add_argument("--out", default=None, help="output drawing JSON (default stdout)")
@@ -454,7 +506,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("export", help="render a drawing as dot, svg, or csv")
     p.add_argument("drawing", help="drawing JSON file")
-    p.add_argument("--format", required=True, choices=exp.EXPORT_FORMATS)
+    p.add_argument("--format", required=True).choices = _Choices(_export_formats)
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=_cmd_export)
 

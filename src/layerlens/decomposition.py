@@ -33,13 +33,14 @@ each pair of neighbouring bags at construction.  ``_transitions`` yields
 the (leaving, entering) pair of every bag from the events alone.  The
 validator and ``_sorted_labels`` read only ``_transitions``, and ``bags``
 of a built decomposition replays the events once on first use.
-``_sorted_labels`` keeps the current bag's labels sorted, each next to
-its JSON text, encoded once per vertex; ``decomposition_to_json`` copies
-the labels of each bag, and ``_write_decomposition_json`` writes each
-bag's text as it comes and holds one bag at a time.  Building,
-validating and writing the JSON then cost O(m log m + p + q) plus the
-size of the output, writing holds memory O(m + p + q) whatever the size
-of the output, and no frozenset is made per bag unless ``bags`` is read.
+``_sorted_labels`` keeps the current bag's labels sorted, for the writer
+each next to its JSON text, encoded once per vertex;
+``decomposition_to_json`` copies the labels of each bag, and
+``_write_decomposition_json`` writes each bag's text as it comes and
+holds one bag at a time.  Building, validating and writing the JSON then
+cost O(m log m + p + q) plus the size of the output, writing holds memory
+O(m + p + q) whatever the size of the output, and no frozenset is made
+per bag unless ``bags`` is read.
 """
 
 from __future__ import annotations
@@ -372,18 +373,19 @@ def validate_decomposition(d: Drawing, pd: PathDecomposition) -> DecompositionRe
     return DecompositionReport(not violations, pd.width, tuple(violations))
 
 
-def _sorted_labels(pd: PathDecomposition) -> Iterator[tuple[list[str], list[str]]]:
+def _sorted_labels(pd: PathDecomposition, encode: bool) -> Iterator[tuple[list[str], list[str]]]:
     """For each bag of pd in turn, its sorted list of "u<i>"/"v<x>" labels
-    and, index for index, the JSON text of each label; the same two lists,
-    updated in place between bags.
+    and, when ``encode`` is set, index for index the JSON text of each
+    label (else an empty list); the same two lists, updated in place
+    between bags.
 
-    Each vertex is labelled and encoded once, by ``json.dumps``, however
-    many bags hold it.  At each transition the leaving labels are deleted
-    at ``bisect_left`` and the entering ones inserted at ``bisect_right``,
-    in both lists at the same index, so the lists stay sorted by the
-    label, not by its quoted text.  Between consecutive bags of a sweep at
-    most two vertices leave and two enter, so the cost is O(bag size)
-    list shifting per bag rather than a sort.
+    Each vertex is labelled once, and encoded once by ``json.dumps`` when
+    ``encode`` is set, however many bags hold it.  At each transition the
+    leaving labels are deleted at ``bisect_left`` and the entering ones
+    inserted at ``bisect_right``, in both lists at the same index, so the
+    lists stay sorted by the label, not by its quoted text.  Between
+    consecutive bags of a sweep at most two vertices leave and two enter,
+    so the cost is O(bag size) list shifting per bag rather than a sort.
     Two vertices may share a label, such as "u11" of ("u", 11) and
     ("u1", 1); their texts are equal too, so deleting either gives the
     same lists.  An entry that is not a (layer, index) pair, which the
@@ -395,15 +397,18 @@ def _sorted_labels(pd: PathDecomposition) -> Iterator[tuple[list[str], list[str]
     for leaving, entering in _transitions(pd):
         for vert in leaving:
             at = bisect_left(labels, names[vert][0])
-            del labels[at], texts[at]
+            del labels[at]
+            if encode:
+                del texts[at]
         for vert in entering:
             name = names.get(vert)
             if name is None:
                 label = _name(vert)
-                name = names[vert] = (label, json.dumps(label))
+                name = names[vert] = (label, json.dumps(label) if encode else "")
             at = bisect_right(labels, name[0])
             labels.insert(at, name[0])
-            texts.insert(at, name[1])
+            if encode:
+                texts.insert(at, name[1])
         yield labels, texts
 
 
@@ -416,7 +421,7 @@ def decomposition_to_json(pd: PathDecomposition) -> dict:
     bag.  Any bags give ``sorted``'s lists, a label shared by two
     vertices included; an entry that is not a (layer, index) pair is
     labelled with its repr."""
-    return {"bags": [labels[:] for labels, _ in _sorted_labels(pd)], "width": pd.width}
+    return {"bags": [labels[:] for labels, _ in _sorted_labels(pd, encode=False)], "width": pd.width}
 
 
 def _write_decomposition_json(pd: PathDecomposition, f: TextIO) -> None:
@@ -429,7 +434,7 @@ def _write_decomposition_json(pd: PathDecomposition, f: TextIO) -> None:
     the output is."""
     f.write('{\n  "bags": [')
     sep, close = "\n    ", "]"
-    for _, texts in _sorted_labels(pd):
+    for _, texts in _sorted_labels(pd, encode=True):
         f.write(sep + ("[\n      " + ",\n      ".join(texts) + "\n    ]" if texts else "[]"))
         sep, close = ",\n    ", "\n  ]"
     f.write(f'{close},\n  "width": {pd.width}\n}}')

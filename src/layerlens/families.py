@@ -232,7 +232,8 @@ def min_size(family: str, k: int | None = None) -> int | None:
 class FamilySpec:
     """Selects one family instance: the family name, its size parameter
     (brick count for chains, layer size for bands), and the crossing cap
-    k for the general band family."""
+    k for the general band family; every other family has a fixed cap and
+    takes no k."""
 
     family: str
     size: int = 1
@@ -243,8 +244,11 @@ class FamilySpec:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILY_NAMES}")
         if not (_is_int(self.size) and (self.k is None or _is_int(self.k))):
             raise ValueError(f"size and k must be integers, got size={self.size!r}, k={self.k!r}")
-        if FAMILIES[self.family].cap is None and (self.k is None or self.k < 2):
+        cap = FAMILIES[self.family].cap
+        if cap is None and (self.k is None or self.k < 2):
             raise ValueError(f"{self.family} requires k >= 2")
+        if cap is not None and self.k is not None:
+            raise ValueError(f"{self.family} takes no k: its cap is fixed at {cap}")
         low = min_size(self.family, self.k)
         if low is not None and self.size < low:
             raise ValueError(f"{self.family} needs size >= {low}, got {self.size}")

@@ -78,6 +78,12 @@ class TestGen:
         assert main(["gen", "--family", "general_k"]) == 1
         assert capsys.readouterr().err == "usage error: general_k requires k >= 2\n"
 
+    def test_gen_k_for_a_fixed_cap_family_is_usage_error(self, capsys):
+        # only general_k reads k; any other family once wrote its drawing
+        # and dropped the k without a word
+        assert main(["gen", "--family", "planar3", "--size", "5", "--k", "3"]) == 1
+        assert capsys.readouterr() == ("", "usage error: planar3 takes no k: its cap is fixed at 3\n")
+
 
 class TestAnalyze:
     def test_json_report(self, k23_file, capsys):
@@ -348,6 +354,11 @@ class TestMinimaxCommand:
 
     def test_missing_input_is_usage_error(self, capsys):
         assert main(["minimax"]) == 1
+
+    def test_file_and_complete_is_usage_error(self, k23_file, capsys):
+        # the file was once dropped without a word and K_{A,B} searched
+        assert main(["minimax", k23_file, "--complete", "2", "2"]) == 1
+        assert capsys.readouterr() == ("", "usage error: provide a drawing file or --complete A B, not both\n")
 
     def test_oversize_complete_rejected_before_building(self, capsys):
         tracemalloc.start()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from bisect import bisect_left, insort
 
@@ -514,3 +515,16 @@ def test_json_labels_foreign_entries_by_repr(bags, expected):
     # the entries the validator reports under P.1 are written, not raised on
     pd = PathDecomposition(bags)
     assert decomposition_to_json(pd) == {"bags": expected, "width": pd.width}
+
+
+def test_json_form_encodes_no_label(monkeypatch):
+    # only the streamed writer needs each label's JSON text; the dict form
+    # is encoded by whoever dumps it
+    pd = build_path_decomposition(random_drawing(12, 12, 40, 3))
+    expected = reference_to_json(pd)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("decomposition_to_json called json.dumps")
+
+    monkeypatch.setattr(json, "dumps", fail)
+    assert decomposition_to_json(pd) == expected

@@ -210,6 +210,8 @@ class TestFamilySpec:
             FamilySpec("general_k", 5)  # missing k
         with pytest.raises(ValueError):
             FamilySpec("opt2planar", 0)
+        with pytest.raises(ValueError, match="takes no k"):
+            FamilySpec("opt2planar", 3, k=2)  # a fixed cap
 
     @pytest.mark.parametrize(
         "size, k",
