@@ -19,6 +19,7 @@ from collections.abc import Callable, Iterator
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cache
 from typing import TYPE_CHECKING, TextIO
 
 from .core import (
@@ -456,7 +457,11 @@ def _export_formats() -> tuple[str, ...]:
     return EXPORT_FORMATS
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on first use.  A parse leaves
+    it as it was, and each subcommand looks up what it runs when called,
+    so one parser serves every call of :func:`main`."""
     parser = _Parser(prog="layerlens", description="Two-layer drawing toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -18,7 +18,8 @@ import reprlib
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import lt
 
 Edge = tuple[int, int]
 
@@ -76,9 +77,11 @@ class Drawing:
     have two coordinates, each an int or an int subclass other than bool,
     inside the p x q grid.  The first bad edge raises, shown by
     ``_short``, so the message stays short whatever the edge or layer
-    size.  The lexicographic edge order is computed on the first call of
-    :meth:`sorted_edges` and kept on the instance; it is not a field, so
-    equality, hashing, ``repr`` and pickling ignore it.
+    size.  The lexicographic edge order is kept on the instance.  Edges
+    that are not a frozenset and come in that order, as from a sorted
+    list, are kept as they come; any others are sorted on the first call
+    of :meth:`sorted_edges`.  The order is not a field, so equality,
+    hashing, ``repr`` and pickling ignore it.
     """
 
     p: int
@@ -110,6 +113,9 @@ class Drawing:
             if len(frozen) != len(edges):
                 raise ValueError("duplicate edges are not allowed")
             object.__setattr__(self, "edges", frozen)
+            # compared only once every edge is known to be a pair of ints
+            if all(map(lt, edges, islice(edges, 1, None))):
+                object.__setattr__(self, "_order", tuple(edges))
 
     def __getstate__(self) -> dict:
         # the fields only, so the kept edge order never reaches a pickle

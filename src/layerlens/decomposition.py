@@ -19,11 +19,17 @@ yields the (leaving, entering) step into each bag: between the bags of
 positions pos - 1 and pos, u_s leaves and the new top end enters when
 the top index changes, the previous bottom end leaves after its last
 position, and v_t enters at its first, so at most two vertices leave and
-two enter.  A bag's size is the running sum of len(entering) -
-len(leaving), so the largest bag of an orientation is known without
-making a bag.  ``path_width`` and the builder share ``_narrower``, which
-sweeps both orientations and keeps the narrower one, in O(m log m) time
-and O(m) memory.
+two enter.
+
+The width needs no bag and no step.  The bag of position pos holds u_s
+and exactly the bottom vertices y with first[y] <= pos <= last[y], as v_t
+is the one such y at an end of its interval.  So the largest bag less
+one is the most intervals [first, last] open at one position, the
+vertex-separation count of the order (Kinnersley, IPL 1992), which one
+difference array over the positions gives.  ``_narrower`` counts it for
+both orientations and keeps the narrower one, in O(m log m) time and
+O(m) memory; ``build_path_decomposition`` then walks ``_steps`` once,
+for the kept orientation only.
 
 Every decomposition holds one form, its ``_Events``: the steps, then one
 singleton bag per isolated vertex, each replacing the bag before it.  A
@@ -48,9 +54,10 @@ from __future__ import annotations
 import json
 import sys
 from bisect import bisect_left, bisect_right
-from collections.abc import Collection, Iterable, Iterator
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from itertools import accumulate, islice
+from operator import itemgetter
 from typing import TextIO
 
 from .core import Drawing, Edge
@@ -75,21 +82,22 @@ def edge_order(d: Drawing) -> list[Edge]:
     return d.sorted_edges()
 
 
-def _spans(order: list[Edge]) -> tuple[dict[int, int], dict[int, int]]:
-    """The first and the last position (1-based) of each bottom vertex of
-    the order."""
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for pos, (_, y) in enumerate(order, 1):
-        first.setdefault(y, pos)
-        last[y] = pos
-    return first, last
+def _spans(ys: list[int]) -> tuple[dict[int, int], dict[int, int]]:
+    """The first and the last position (1-based) of each value of ys."""
+    m = len(ys)
+    return dict(zip(reversed(ys), range(m, 0, -1))), dict(zip(ys, range(1, m + 1)))
 
 
-def _tags(layer: str, order: list[Edge]) -> dict[int, Vertex]:
-    """One shared (layer, idx) tuple per vertex at the second end of an
-    edge of the order, keyed by idx; vertices without edges get none."""
-    return {idx: (layer, idx) for _, idx in order}
+def _cover(first: dict[int, int], last: dict[int, int], m: int) -> int:
+    """The most intervals [first[y], last[y]] over positions 1..m that hold
+    one position: the largest bag of the sweep less its top end; 0 for
+    none."""
+    diff = [0] * (m + 2)
+    for start in first.values():
+        diff[start] += 1
+    for end in last.values():
+        diff[end + 1] -= 1
+    return max(accumulate(diff))
 
 
 def related_vertices(d: Drawing, pos: int) -> set[int]:
@@ -103,21 +111,27 @@ def related_vertices(d: Drawing, pos: int) -> set[int]:
     order = edge_order(d)
     if not 1 <= pos <= len(order):
         raise ValueError(f"position {pos} out of range 1..{len(order)}")
-    first, last = _spans(order)
+    first, last = _spans(list(map(itemgetter(1), order)))
     return {y for y, start in first.items() if start < pos < last[y]} - {order[pos - 1][1]}
 
 
 _Step = tuple[Collection[Vertex], Collection[Vertex]]  # (leaving, entering)
 
 
-def _steps(order: list[Edge], primary: dict[int, Vertex], secondary: dict[int, Vertex]) -> Iterator[_Step]:
+def _steps(
+    order: list[Edge],
+    first: dict[int, int],
+    last: dict[int, int],
+    primary: dict[int, Vertex],
+    secondary: dict[int, Vertex],
+) -> Iterator[_Step]:
     """The (leaving, entering) step into each edge bag of the sweep over
-    the order, from the first and last positions alone: the top end
-    leaves and enters when it changes, the previous bottom end leaves
-    after its last position and the new one enters at its first."""
+    the order, from the first and last positions of the second ends of its
+    edges alone: the top end leaves and enters when it changes, the
+    previous bottom end leaves after its last position and the new one
+    enters at its first."""
     if not order:
         return
-    first, last = _spans(order)
     s, t = order[0]
     yield (), (primary[s], secondary[t])
     for pos, ((ps, pt), (s, t)) in enumerate(zip(order, islice(order, 1, None)), 2):
@@ -127,11 +141,6 @@ def _steps(order: list[Edge], primary: dict[int, Vertex], secondary: dict[int, V
             leaving += (primary[ps],)
             entering += (primary[s],)
         yield leaving, entering
-
-
-def _largest(steps: Iterable[_Step]) -> int:
-    """The size of the largest bag reached by the steps; 0 for none."""
-    return max(accumulate(len(entering) - len(leaving) for leaving, entering in steps), default=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +182,7 @@ class PathDecomposition:
         steps = [(prev - bag, bag - prev) for prev, bag in zip((frozenset(), *bags), bags)]
         self._bags = bags
         self._orientation = orientation
-        self._events = _Events(steps, _largest(steps) - 1)
+        self._events = _Events(steps, max(map(len, bags), default=0) - 1)
 
     @classmethod
     def _built(cls, events: _Events, orientation: str) -> PathDecomposition:
@@ -237,25 +246,27 @@ def _transitions(pd: PathDecomposition) -> Iterator[_Step]:
         before = bag
 
 
-def _narrower(d: Drawing) -> tuple[str, list[Edge], dict[int, Vertex], dict[int, Vertex], int]:
-    """The orientation to keep: both are swept and the one with the
-    smaller largest bag wins, ties to the top.  Returns its name, its edge
-    order, the tags of the vertices with edges on its primary and on its
-    secondary layer, and the width.  Isolated vertices only add singleton
-    bags, which decide the width only when there is no edge: then both
-    largest edge bags are 0, the top is kept and the width is 0."""
+def _narrower(d: Drawing) -> tuple[str, list[Edge], tuple[dict[int, int], dict[int, int]], int]:
+    """The orientation to keep: the one whose sweep has the smaller
+    largest bag, ties to the top, told by ``_cover`` alone.  Returns its
+    name, its edges in its order as (i, x) pairs, the first and last
+    positions of their ends on its secondary layer, and the width.
+    Isolated vertices only add singleton bags, which decide the width only
+    when there is no edge: then both covers are 0, the top is kept and the
+    width is 0."""
     top = edge_order(d)
-    bottom = sorted((x, i) for i, x in d.edges)
-    u, v = _tags("u", bottom), _tags("v", top)
-    top_size, bottom_size = _largest(_steps(top, u, v)), _largest(_steps(bottom, v, u))
-    if bottom_size < top_size:
-        return "bottom", bottom, v, u, bottom_size - 1
-    return "top", top, u, v, max(top_size, 1) - 1
+    bottom = sorted(top, key=itemgetter(1))  # stable, so ties stay in top index order
+    m = len(top)
+    top_spans, bottom_spans = _spans(list(map(itemgetter(1), top))), _spans(list(map(itemgetter(0), bottom)))
+    top_width, bottom_width = _cover(*top_spans, m), _cover(*bottom_spans, m)
+    if bottom_width < top_width:
+        return "bottom", bottom, bottom_spans, bottom_width
+    return "top", top, top_spans, top_width
 
 
 def path_width(d: Drawing) -> int:
-    """``build_path_decomposition(d).width`` without building a bag, in
-    time O(m log m) and memory O(m), whatever the layer sizes."""
+    """``build_path_decomposition(d).width`` without building a bag or a
+    step, in time O(m log m) and memory O(m), whatever the layer sizes."""
     return _narrower(d)[-1]
 
 
@@ -264,15 +275,20 @@ def build_path_decomposition(d: Drawing) -> PathDecomposition:
     every edge has at most k crossings.
 
     The construction is asymmetric, so the orientation ``_narrower``
-    keeps is the one recorded, as its steps.  The cost is O(m log m),
-    plus O(p + q) for the isolated vertices when the bags are walked.
-    Isolated vertices get singleton bags at the end so that every vertex
-    is covered; an edgeless drawing has only those, and width 0.
+    keeps is the one recorded, as the steps of its one sweep.  The cost
+    is O(m log m), plus O(p + q) for the isolated vertices when the bags
+    are walked.  Isolated vertices get singleton bags at the end so that
+    every vertex is covered; an edgeless drawing has only those, and
+    width 0.
     """
-    orientation, order, primary, secondary, width = _narrower(d)
-    u, v = (primary, secondary) if orientation == "top" else (secondary, primary)
+    orientation, order, (first, last), width = _narrower(d)
+    u = {i: ("u", i) for i, _ in order}
+    v = {x: ("v", x) for _, x in order}
+    primary, secondary = u, v
+    if orientation == "bottom":
+        order, primary, secondary = [(x, i) for i, x in order], v, u
     final = (primary[order[-1][0]], secondary[order[-1][1]]) if order else ()
-    events = _Events(list(_steps(order, primary, secondary)), width, final, d.p, d.q, u, v)
+    events = _Events(list(_steps(order, first, last, primary, secondary)), width, final, d.p, d.q, u, v)
     return PathDecomposition._built(events, orientation)
 
 

@@ -48,6 +48,12 @@ class TestDefaultTable:
         with pytest.raises(ValueError):
             small_k_density_bound(6, 10)
 
+    def test_row_zero_is_the_caterpillar_bound(self):
+        # crossing-free two-layer graphs are caterpillar forests: n - 1 edges
+        assert [small_k_density_bound(0, n) for n in (1, 2, 7)] == [Fraction(0), Fraction(1), Fraction(6)]
+        with pytest.raises(ValueError, match=r"^k must be within the table rows 0\.\.5$"):
+            small_k_density_bound(-1, 7)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CoefficientTable(alpha=(Fraction(1, 2),), beta=(Fraction(0),))

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -802,3 +803,69 @@ def test_reproduce_json_keeps_the_exit_codes(capsys, monkeypatch, passed):
     assert data["elapsed_s"] == {"families": 0.5, "1": 0.25}
     assert data["rows"] == list(csv.DictReader(io.StringIO(rep.rows_to_csv(rows))))
     assert data["rows"][1]["pass"] == ("pass" if passed else "FAIL")
+
+
+@pytest.mark.parametrize(
+    "drawing",
+    [planar6_family(12), random_drawing(40, 40, 300, 1), Drawing(3, 4, frozenset({(1, 2), (3, 1), (3, 4)}))],
+    ids=["planar6", "random-40x40-m300", "isolated-vertices"],
+)
+def test_shuffled_file_reads_as_the_sorted_one(tmp_path, capsys, drawing):
+    # a saved drawing lists its edges in order, which Drawing keeps instead
+    # of sorting them again; a file in any other order is sorted on use
+    data = drawing_to_json(drawing)
+    random.Random(1).shuffle(data["edges"])
+    assert data["edges"] != drawing_to_json(drawing)["edges"]
+    paths = {"sorted": tmp_path / "sorted.json", "shuffled": tmp_path / "shuffled.json"}
+    save_drawing(drawing, str(paths["sorted"]))
+    paths["shuffled"].write_text(json.dumps(data))
+    seen = {}
+    for name, path in paths.items():
+        out = tmp_path / f"{name}.pd.json"
+        assert main(["analyze", str(path), "--json"]) == 0
+        analysis = capsys.readouterr().out
+        assert main(["pathwidth", str(path), "--out", str(out)]) == 0
+        seen[name] = (analysis, capsys.readouterr().out, out.read_bytes())
+    assert seen["sorted"] == seen["shuffled"]
+
+
+# a child interpreter imports this package, wherever the tests found it
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "K23", "--json"], ["bounds", "--k", "5", "--n", "11"], ["minimax", "--complete", "2", "3"]],
+        ids=["analyze", "bounds", "minimax"],
+    )
+    def test_errors_and_help_leave_the_parser_as_it_was(self, k23_file, capsys, argv):
+        argv = [k23_file if arg == "K23" else arg for arg in argv]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "layerlens.cli", *argv], capture_output=True, text=True, timeout=60, env=_CHILD_ENV
+        )
+        assert main(["analyze"]) == 1
+        assert main(["search", "--n", "8", "--k", "2", "--quasi", "3"]) == 1
+        assert main(["minimax", "--complete", "2"]) == 1
+        assert main(["nosuch"]) == 1
+        for help_argv in (["--help"], [argv[0], "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(help_argv)
+            assert exc.value.code == 0
+        capsys.readouterr()
+        assert main(argv) == fresh.returncode == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr)
+
+    def test_building_the_parser_loads_neither_families_nor_export(self):
+        probe = (
+            "import sys\nfrom layerlens.cli import _build_parser\n_build_parser()\n"
+            "print(sorted(m for m in sys.modules if m.startswith('layerlens')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=60, env=_CHILD_ENV
+        )
+        assert proc.stdout.splitlines()[-1] == "['layerlens', 'layerlens.cli', 'layerlens.core', 'layerlens.search']"

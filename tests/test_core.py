@@ -296,21 +296,69 @@ def test_drawing_from_json_matches_the_shape_first_reference(data):
 def test_kept_edge_order_is_invisible():
     d = random_drawing(6, 7, 20, 3)
     fresh = Drawing(6, 7, frozenset(d.edges))
+    listed = Drawing(6, 7, sorted(d.edges))  # kept as given, never sorted
     first = d.sorted_edges()
     assert first == sorted(d.edges)
     first.reverse()
     first.append((1, 1))
     assert d.sorted_edges() == sorted(d.edges)
     assert d.sorted_edges() is not d.sorted_edges()
-    assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
-    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
-        assert pickle.dumps(d, proto) == pickle.dumps(fresh, proto)
-        back = pickle.loads(pickle.dumps(d, proto))
-        assert back == d and back.sorted_edges() == sorted(d.edges)
+    assert "_order" in vars(listed) and "_order" not in vars(fresh)
+    for kept in (d, listed):
+        assert kept == fresh and hash(kept) == hash(fresh) and repr(kept) == repr(fresh)
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(kept, proto) == pickle.dumps(fresh, proto)
+            back = pickle.loads(pickle.dumps(kept, proto))
+            assert back == kept and "_order" not in vars(back) and back.sorted_edges() == sorted(d.edges)
     for other in (dataclasses.replace(d), d.transpose().transpose(), d.rotate().rotate()):
         assert other == d and other.sorted_edges() == sorted(d.edges)
     swapped = dataclasses.replace(d, p=7, edges=frozenset([(7, 1)]))
     assert swapped.sorted_edges() == [(7, 1)]
+
+
+class TestKeptOrder:
+    """Edges that come in lexicographic order are kept as they come; the
+    order is checked only after every edge is."""
+
+    EDGES = [(1, 1), (1, 3), (2, 1), (2, 3), (3, 2)]
+
+    def test_sorted_list_keeps_its_order(self):
+        for edges in (self.EDGES, tuple(self.EDGES), iter(self.EDGES), [list(e) for e in self.EDGES]):
+            d = Drawing(3, 3, edges)
+            assert vars(d)["_order"] == tuple(self.EDGES)
+            assert d.sorted_edges() == self.EDGES
+
+    @pytest.mark.parametrize("kind", ["unsorted list", "set", "frozenset"])
+    def test_other_edges_sort_on_first_use(self, kind):
+        edges = {"unsorted list": self.EDGES[::-1], "set": set(self.EDGES), "frozenset": frozenset(self.EDGES)}[kind]
+        assert list(edges) != self.EDGES  # a set of int pairs iterates in hash order
+        d = Drawing(3, 3, edges)
+        assert "_order" not in vars(d)
+        assert d.sorted_edges() == self.EDGES
+        assert vars(d)["_order"] == tuple(self.EDGES)
+
+    def test_sorted_list_with_a_duplicate(self):
+        with pytest.raises(ValueError, match="^duplicate edges are not allowed$"):
+            Drawing(3, 3, [(1, 1), (1, 3), (1, 3), (2, 1)])
+
+    @pytest.mark.parametrize(
+        "last,message",
+        [
+            ((3, 4), "edge (3, 4) lies outside the 3x3 grid"),
+            ((4, 1), "edge (4, 1) lies outside the 3x3 grid"),
+            ((4,), "edge (4,) is not a pair of integers"),
+            ((3, 1, 1), "edge (3, 1, 1) is not a pair of integers"),
+            ((3, "2"), "edge (3, '2') is not a pair of integers"),
+            ((3, True), "edge (3, True) is not a pair of integers"),
+        ],
+    )
+    def test_sorted_list_with_a_bad_last_edge(self, last, message):
+        # the list is in order up to the bad edge, which shares its top
+        # index with the one before, so comparing the two before every edge
+        # is checked would raise TypeError on (3, "2")
+        edges = [(1, 1), (2, 3), (3, 1), last]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Drawing(3, 3, edges)
 
 
 # ---------------------------------------------------------------------------

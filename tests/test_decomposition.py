@@ -14,6 +14,8 @@ from layerlens.core import Drawing, crossing_profile
 from layerlens.decomposition import (
     DecompositionReport,
     PathDecomposition,
+    _cover,
+    _spans,
     _transitions,
     build_path_decomposition,
     decomposition_to_json,
@@ -307,9 +309,14 @@ class TestAgainstOracle:
     @given(drawings())
     @example(Drawing(3, 4, frozenset()))
     @example(Drawing(4, 5, frozenset([(2, 3), (3, 1), (3, 4)])))
+    @example(Drawing(1, 1, frozenset([(1, 1)])))
+    @example(Drawing(4, 3, frozenset([(3, 2)])))
+    @example(complete_grid(3, 3))
     def test_path_width_is_built_width(self, d):
+        # the interval cover against the largest bag the sweep makes
         for dd in (d, d.transpose()):
-            assert path_width(dd) == build_path_decomposition(dd).width
+            pd = build_path_decomposition(dd)
+            assert path_width(dd) == pd.width == max(map(len, pd.bags)) - 1
 
     @settings(max_examples=200, deadline=None)
     @given(drawings())
@@ -323,6 +330,44 @@ class TestAgainstOracle:
         # the tie rule and the bottom orientation are both reachable
         assert build_path_decomposition(Drawing(1, 3, frozenset([(1, 1), (1, 2), (1, 3)]))).orientation == "top"
         assert build_path_decomposition(complete_grid(2, 4)).orientation == "bottom"
+
+
+def top_cover(d):
+    """The most bottom-vertex intervals [first, last] of the top order
+    that hold one position."""
+    return _cover(*_spans([x for _, x in edge_order(d)]), d.m)
+
+
+class TestIntervalWidth:
+    """The width read off the bottom-vertex intervals of each orientation,
+    without a bag, against the bags themselves and the oracle's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawings())
+    @example(Drawing(3, 4, frozenset()))
+    @example(Drawing(2, 5, frozenset([(2, 4)])))
+    @example(complete_grid(3, 4))
+    def test_top_cover_is_the_oracle_width(self, d):
+        # the oracle has no bag for an edgeless drawing, and both read 0
+        for dd in (d, d.transpose()):
+            assert top_cover(dd) == max(map(len, brute_force_bags(dd)), default=1) - 1
+
+    def test_tie_keeps_the_top(self):
+        # K_{3,3} and its transpose are the same drawing: both covers are 3
+        d = complete_grid(3, 3)
+        assert top_cover(d) == top_cover(d.transpose()) == 3
+        pd = build_path_decomposition(d)
+        assert (pd.orientation, pd.width) == ("top", 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawings(), st.integers(0, 3))
+    def test_given_bags_keep_their_width(self, d, extra):
+        # the same bags given by hand keep it (test_rebuilt_from_bags_reads_the_same);
+        # a corrupted bag, larger than all the others, sets it
+        pd = build_path_decomposition(d)
+        big = frozenset(("w", j) for j in range(pd.width + 2 + extra))
+        assert PathDecomposition((*pd.bags, big)).width == pd.width + 1 + extra
+        assert PathDecomposition(()).width == -1
 
 
 class TestEventRoute:

@@ -13,7 +13,9 @@ import dataclasses
 
 import pytest
 
+from layerlens import bounds as bnd
 from layerlens import reproduce as rep
+from layerlens.search import complete_bipartite
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +83,33 @@ def test_criterion_5_failure_rows(summaries):
         "0 violations, 1 exceptional-graph misses reported",
         True,
     )
+
+
+def test_criterion_5_equality_cases(summaries):
+    # n = 48 and m = 125 = (125/48) n: the least dense m, with a cubic bound
+    # of exactly 250 crossings
+    assert bnd.crossing_lower_bound(48, 125) == 250
+    base = dataclasses.replace(summaries["general_k(p=16, k=18)"], n=48, m=125, total=250, special_s=None)
+    random_only = int(rep.check_crossing_bounds([])[0].case.split()[4])  # the random dense drawings
+    rows = rep.check_crossing_bounds([base])
+    assert rows[0].case == f"cubic crossing bound on {random_only + 1} dense drawings"
+    assert _row(rows, "cubic") == ("0 violations", "0 violations", True)
+    # one edge fewer is not dense, so the drawing is not a case at all
+    rows = rep.check_crossing_bounds([dataclasses.replace(base, m=124)])
+    assert rows[0].case == f"cubic crossing bound on {random_only} dense drawings"
+    # one crossing below the cubic bound is a violation
+    rows = rep.check_crossing_bounds([dataclasses.replace(base, total=249)])
+    assert _row(rows, "cubic") == ("0 violations", "1 violations (first: general_k(p=16, k=18))", False)
+
+
+def test_criterion_5_total_at_the_linear_bound_is_no_miss():
+    # K_{7,7} has a clamped linear bound of exactly 165 crossings and no
+    # exceptional sub-drawing
+    table = bnd.default_table()
+    d = complete_bipartite(7, 7)
+    assert bnd.auxiliary_lower_bound(d.n, d.m, table) == 165
+    assert rep._linear_miss_special_s(d, 165, table) is None
+    assert rep._linear_miss_special_s(d, 164, table) is False
 
 
 def test_criterion_6_failure_row(summaries):
